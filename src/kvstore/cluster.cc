@@ -4,27 +4,28 @@
 #include <thread>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace hgs {
 
 namespace {
 
-/// Granularity of the hedged-read race and deadline polls. Coarse enough to
-/// stay off the scheduler's back, fine relative to the millisecond-scale
-/// latencies the simulation deals in.
+/// Granularity of the hedged-read race. Coarse enough to stay off the
+/// scheduler's back, fine relative to the millisecond-scale latencies the
+/// simulation deals in.
 constexpr auto kPollQuantum = std::chrono::microseconds(100);
 
-/// Decompresses a stored value into a zero-copy window when possible,
-/// bumping `*value_copies` when the codec forced a materialization.
-Result<SharedValue> DecompressCounted(const SharedValue& stored,
-                                      size_t* value_copies) {
-  HGS_ASSIGN_OR_RETURN(SharedValue out, DecompressShared(stored));
-  if (value_copies != nullptr && out.owner() != stored.owner()) {
+/// Verifies and decompresses one stored value, bumping `*value_copies`
+/// when the codec forced a materialization. A checksum failure comes back
+/// as ChecksumMismatch.
+Result<SharedValue> OpenStored(const SharedValue& stored,
+                               size_t* value_copies) {
+  HGS_ASSIGN_OR_RETURN(SharedValue unsealed, UnsealValue(stored));
+  HGS_ASSIGN_OR_RETURN(SharedValue plain, DecompressShared(unsealed));
+  if (value_copies != nullptr && plain.owner() != stored.owner()) {
     ++*value_copies;
   }
-  return out;
+  return plain;
 }
 
 /// Recovers the placement token embedded in a physical key
@@ -38,6 +39,16 @@ std::optional<uint64_t> TokenOfPhysicalKey(std::string_view phys) {
   return ReadOrdered64(phys.data() + z + 1);
 }
 
+/// Sums one per-node counter across the cluster.
+uint64_t SumNodeStat(const std::vector<std::unique_ptr<StorageNode>>& nodes,
+                     std::atomic<uint64_t> StorageNodeStats::*counter) {
+  uint64_t total = 0;
+  for (const auto& n : nodes) {
+    total += (n->stats().*counter).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 bool Contains(const ReplicaSet& replicas, size_t node) {
   for (uint32_t r : replicas) {
     if (r == node) return true;
@@ -45,11 +56,90 @@ bool Contains(const ReplicaSet& replicas, size_t node) {
   return false;
 }
 
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+bool DeadlinePassed(const Deadline& d) {
+  return d.has_value() && std::chrono::steady_clock::now() >= *d;
+}
+
+template <typename T>
+bool IsReady(const std::future<T>& fut) {
+  return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+/// Waits until `fut` is ready (true) or `until` passes (false); without
+/// `until` it waits as long as it takes.
+template <typename T>
+bool WaitReady(const std::future<T>& fut, const Deadline& until) {
+  if (!until.has_value()) {
+    fut.wait();
+    return true;
+  }
+  return fut.wait_until(*until) == std::future_status::ready;
+}
+
+/// The hedge trigger: `fut` is still not ready `hedge_us` after the call.
+/// False when hedging is off (`hedge_us` <= 0) or the deadline came first.
+template <typename T>
+bool SlowPastHedge(const std::future<T>& fut, int64_t hedge_us,
+                   const Deadline& deadline) {
+  if (hedge_us <= 0) return false;
+  auto at = std::chrono::steady_clock::now() +
+            std::chrono::microseconds(hedge_us);
+  if (deadline.has_value()) at = std::min(at, *deadline);
+  return !WaitReady(fut, at) && !DeadlinePassed(deadline);
+}
+
+/// Polls a hedged request's primary against its hedge side: whether
+/// `hedge_ready()` held before the primary was ready, or nullopt when the
+/// deadline passed first.
+template <typename T, typename HedgeReadyFn>
+std::optional<bool> RaceHedge(const std::future<T>& primary,
+                              HedgeReadyFn&& hedge_ready,
+                              const Deadline& deadline) {
+  while (true) {
+    if (primary.wait_for(kPollQuantum) == std::future_status::ready) {
+      return false;
+    }
+    if (hedge_ready()) return true;
+    if (DeadlinePassed(deadline)) return std::nullopt;
+  }
+}
+
 /// A replica's answer settles the read when it is a value or an (authori-
 /// tative) absence; hard errors keep the race open.
 template <typename T>
 bool UsableAnswer(const Result<T>& res) {
   return res.ok() || res.status().IsNotFound();
+}
+
+/// The first usable answer of a request and, when `hedge` is valid, its
+/// hedge. A hard error from the first side to answer waits out the other;
+/// the losing future is abandoned (its task completes harmlessly in the
+/// node's server pool). nullopt when the deadline passes first.
+template <typename T>
+std::optional<Result<T>> FirstUsable(std::future<Result<T>>& primary,
+                                     std::future<Result<T>>& hedge,
+                                     const Deadline& deadline,
+                                     bool* hedge_won) {
+  if (!hedge.valid()) {
+    if (!WaitReady(primary, deadline)) return std::nullopt;
+    return primary.get();
+  }
+  std::optional<bool> hedge_first =
+      RaceHedge(primary, [&hedge] { return IsReady(hedge); }, deadline);
+  if (!hedge_first.has_value()) return std::nullopt;
+  Result<T> first = (*hedge_first ? hedge : primary).get();
+  if (UsableAnswer(first)) {
+    *hedge_won = *hedge_first;
+    return first;
+  }
+  std::future<Result<T>>& other = *hedge_first ? primary : hedge;
+  if (!WaitReady(other, deadline)) return std::nullopt;
+  Result<T> second = other.get();
+  if (!UsableAnswer(second)) return first;
+  *hedge_won = !*hedge_first;
+  return second;
 }
 
 }  // namespace
@@ -110,10 +200,6 @@ Cluster::Deadline Cluster::MakeDeadline() const {
          std::chrono::microseconds(options_.request_deadline_micros);
 }
 
-bool Cluster::DeadlinePassed(const Deadline& d) {
-  return d.has_value() && std::chrono::steady_clock::now() >= *d;
-}
-
 Status Cluster::DeadlineError(const Status& last) const {
   std::string msg = "request deadline exceeded (" +
                     std::to_string(options_.request_deadline_micros) + "us)";
@@ -128,13 +214,9 @@ void Cluster::Backoff(size_t attempt, const Deadline& deadline) const {
     us *= 2;
   }
   us = std::min(us, options_.retry_backoff_cap_micros);
-  if (deadline.has_value()) {
-    auto remain = std::chrono::duration_cast<std::chrono::microseconds>(
-                      *deadline - std::chrono::steady_clock::now())
-                      .count();
-    us = std::min(us, remain);
-  }
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+  auto wake = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  if (deadline.has_value()) wake = std::min(wake, *deadline);
+  std::this_thread::sleep_until(wake);
 }
 
 void Cluster::CountFailover(ReadCallStats* s) {
@@ -504,142 +586,74 @@ size_t Cluster::ServingOrder(const ReplicaSet& replicas,
     state[i] = nodes_[node]->IsDown() ? 2 : (NodeDirty(node) ? 1 : 0);
   }
   size_t count = 0;
-  // Clean live replicas first (rotated for load balancing) ...
-  for (size_t i = 0; i < n; ++i) {
-    size_t slot = (start + i) % n;
-    if (state[slot] == 0) (*order)[count++] = replicas[slot];
-  }
-  // ... dirty live replicas as a last resort: they may be missing writes,
-  // so they only serve when no clean replica is available.
-  for (size_t i = 0; i < n; ++i) {
-    size_t slot = (start + i) % n;
-    if (state[slot] == 1) (*order)[count++] = replicas[slot];
+  // Clean live replicas first (rotated for load balancing), then dirty live
+  // replicas as a last resort: they may be missing writes, so they only
+  // serve when no clean replica is available.
+  for (uint8_t pass : {0, 1}) {
+    for (size_t i = 0; i < n; ++i) {
+      size_t slot = (start + i) % n;
+      if (state[slot] == pass) (*order)[count++] = replicas[slot];
+    }
   }
   return count;
 }
 
-template <typename T, typename SubmitFn>
-Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
-                                const std::string& phys, SubmitFn&& submit,
-                                const Deadline& deadline,
-                                ReadCallStats* call_stats, size_t* winner) {
-  *winner = primary;
-  std::future<Result<T>> fut = submit(primary, phys);
-  int64_t hedge_us = options_.hedge_after_micros;
-  if (hedge_us <= 0) {
-    if (!deadline.has_value()) return fut.get();
-    // No hedging, but the deadline still bounds how long we wait: poll the
-    // future and abandon it when the budget runs out.
-    while (fut.wait_for(kPollQuantum) != std::future_status::ready) {
-      if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
-    }
-    return fut.get();
-  }
-  if (fut.wait_for(std::chrono::microseconds(hedge_us)) ==
-      std::future_status::ready) {
-    return fut.get();
-  }
-  if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
-
-  // Primary is slow: fire a second-chance request at another live replica
-  // and race the two. The losing future is abandoned — its task completes
-  // harmlessly in the node's server pool.
-  size_t alt = nodes_.size();
+std::optional<size_t> Cluster::HedgeTarget(const ReplicaSet& replicas,
+                                           size_t primary) const {
   for (uint32_t r : replicas) {
-    if (r != primary && !nodes_[r]->IsDown()) {
-      alt = r;
-      break;
-    }
+    if (r != primary && !nodes_[r]->IsDown() && !NodeDirty(r)) return r;
   }
-  if (alt == nodes_.size()) return fut.get();  // nowhere to hedge
-  CountHedge(call_stats);
-  std::future<Result<T>> hedge = submit(alt, phys);
-
-  auto wait_out = [this, &deadline](std::future<Result<T>>& f) {
-    while (f.wait_for(kPollQuantum) != std::future_status::ready) {
-      if (DeadlinePassed(deadline)) return false;
-    }
-    return true;
-  };
-
-  while (true) {
-    if (fut.wait_for(kPollQuantum) == std::future_status::ready) {
-      Result<T> res = fut.get();
-      if (UsableAnswer(res)) return res;
-      // Primary failed hard; the hedge is the only hope left.
-      if (!wait_out(hedge)) return res;
-      Result<T> second = hedge.get();
-      if (UsableAnswer(second)) {
-        CountHedgeWin(call_stats);
-        *winner = alt;
-        return second;
-      }
-      return res;
-    }
-    if (hedge.wait_for(kPollQuantum) == std::future_status::ready) {
-      Result<T> second = hedge.get();
-      if (UsableAnswer(second)) {
-        CountHedgeWin(call_stats);
-        *winner = alt;
-        return second;
-      }
-      // Hedge failed hard; fall back to however long the primary takes.
-      if (!wait_out(fut)) return second;
-      return fut.get();
-    }
-    if (DeadlinePassed(deadline)) {
-      return DeadlineError(Status::OK());
-    }
-  }
+  return std::nullopt;
 }
 
-Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
-                                 std::string_view key, size_t* value_copies,
-                                 ReadCallStats* call_stats) {
-  if (value_copies != nullptr) *value_copies = 0;
-  if (call_stats != nullptr) *call_stats = ReadCallStats{};
-  std::string phys = PhysicalKey(table, partition, key);
-  ReplicaSet replicas = Replicas(PlacementToken(table, partition));
-  Deadline deadline = MakeDeadline();
-
+template <typename T, typename SubmitFn, typename AcceptFn>
+Result<T> Cluster::ReadReplicas(uint64_t token, SubmitFn&& submit,
+                                AcceptFn&& accept, const Deadline& deadline,
+                                ReadCallStats* call_stats) {
+  ReplicaSet replicas = Replicas(token);
   std::array<uint32_t, kMaxReplicas> order;
   size_t candidates = ServingOrder(replicas, &order);
-  Status last = Status::IOError("no replica available");
-  bool tried = false;
+  if (candidates == 0) return Status::IOError("no replica available");
+  Status last;  // the latest replica failure
   for (size_t i = 0; i < candidates; ++i) {
     size_t node = order[i];
-    if (tried) CountFailover(call_stats);
-    tried = true;
+    if (i > 0) CountFailover(call_stats);
     for (size_t attempt = 0;; ++attempt) {
       if (DeadlinePassed(deadline)) return DeadlineError(last);
-      size_t winner = node;
-      Result<SharedValue> res = HedgedSubmit<SharedValue>(
-          node, replicas, phys,
-          [this](size_t target, const std::string& k) {
-            return nodes_[target]->SubmitGet(k);
-          },
-          deadline, call_stats, &winner);
-      if (res.ok()) {
-        Result<SharedValue> unsealed = UnsealValue(*res);
-        if (!unsealed.ok()) {
-          // Corrupt bytes: a replica failure, not a query error. Fail over.
-          CountChecksumFailure(call_stats);
-          last = unsealed.status();
-          break;
-        }
-        return DecompressCounted(*unsealed, value_copies);
+      std::future<Result<T>> fut = submit(node);
+      std::future<Result<T>> hedge;
+      std::optional<size_t> alt;
+      if (SlowPastHedge(fut, options_.hedge_after_micros, deadline)) {
+        alt = HedgeTarget(replicas, node);
       }
-      if (res.status().IsNotFound()) {
+      if (alt.has_value()) {
+        CountHedge(call_stats);
+        hedge = submit(*alt);
+      }
+      bool hedge_won = false;
+      std::optional<Result<T>> res =
+          FirstUsable(fut, hedge, deadline, &hedge_won);
+      if (!res.has_value()) return DeadlineError(last);
+      if (hedge_won) CountHedgeWin(call_stats);
+      size_t winner = hedge_won ? *alt : node;
+      if (res->ok()) {
+        Result<T> accepted = accept(**res);
+        if (!accepted.status().IsChecksumMismatch()) return accepted;
+        // Corrupt bytes are a replica failure, not a query error.
+        CountChecksumFailure(call_stats);
+        last = accepted.status();
+        break;
+      }
+      last = res->status();
+      if (last.IsNotFound()) {
         // NotFound from a clean replica is authoritative. From a dirty
         // replica (rejoined with hints pending) the key may simply have
         // missed it — fall through to the next replica.
-        if (!NodeDirty(winner)) return res.status();
-        last = res.status();
+        if (!NodeDirty(winner)) return last;
         break;
       }
-      last = res.status();
-      if (nodes_[node]->IsDown()) break;  // crashed mid-flight: fail over
-      if (attempt >= options_.max_retries) break;
+      // Crashed mid-flight or out of retries: fail over.
+      if (nodes_[node]->IsDown() || attempt >= options_.max_retries) break;
       CountRetry(call_stats);
       Backoff(attempt + 1, deadline);
     }
@@ -647,196 +661,146 @@ Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
   return last;
 }
 
+Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
+                                 std::string_view key, size_t* value_copies,
+                                 ReadCallStats* call_stats) {
+  if (value_copies != nullptr) *value_copies = 0;
+  if (call_stats != nullptr) *call_stats = ReadCallStats{};
+  return ReadKey(table, partition, key, MakeDeadline(), value_copies,
+                 call_stats);
+}
+
+Result<SharedValue> Cluster::ReadKey(std::string_view table,
+                                     uint64_t partition, std::string_view key,
+                                     const Deadline& deadline,
+                                     size_t* value_copies,
+                                     ReadCallStats* call_stats) {
+  std::string phys = PhysicalKey(table, partition, key);
+  return ReadReplicas<SharedValue>(
+      PlacementToken(table, partition),
+      [this, &phys](size_t node) { return nodes_[node]->SubmitGet(phys); },
+      [value_copies](SharedValue& stored) {
+        return OpenStored(stored, value_copies);
+      },
+      deadline, call_stats);
+}
+
 Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     std::string_view table, const std::vector<MultiGetKey>& keys,
-    size_t* node_batches, size_t* value_copies, ReadCallStats* call_stats,
-    std::vector<Status>* key_status) {
+    size_t* node_batches, size_t* value_copies, ReadCallStats* call_stats) {
   std::vector<std::optional<SharedValue>> out(keys.size());
   if (node_batches != nullptr) *node_batches = 0;
   if (value_copies != nullptr) *value_copies = 0;
   if (call_stats != nullptr) *call_stats = ReadCallStats{};
-  if (key_status != nullptr) key_status->assign(keys.size(), Status::OK());
-  if (keys.empty()) return out;
-
   Deadline deadline = MakeDeadline();
 
-  // Pick a serving replica per key (clean live nodes preferred) and group
-  // the key indices by node.
-  std::vector<uint64_t> tokens(keys.size());
-  std::unordered_map<size_t, std::vector<size_t>> by_node;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    tokens[i] = PlacementToken(table, keys[i].partition);
-    std::array<uint32_t, kMaxReplicas> order;
-    size_t candidates = ServingOrder(Replicas(tokens[i]), &order);
-    if (candidates == 0) {
-      Status err = Status::IOError("no live replica for key");
-      if (key_status == nullptr) return err;  // strict legacy contract
-      (*key_status)[i] = err;                 // degrade: serve the rest
-      continue;
-    }
-    by_node[order[0]].push_back(i);
-  }
-
-  struct Batch {
+  struct NodeBatch {
     size_t node;
     std::vector<size_t> idxs;  // indices into `keys`
     std::future<std::vector<Result<SharedValue>>> fut;
   };
-  std::vector<Batch> inflight;
-  inflight.reserve(by_node.size());
-  for (auto& [node, idxs] : by_node) {
-    std::vector<std::string> phys;
-    phys.reserve(idxs.size());
-    for (size_t i : idxs) {
-      phys.push_back(PhysicalKey(table, keys[i].partition, keys[i].key));
+  using KeysByNode = std::unordered_map<size_t, std::vector<size_t>>;
+  auto submit = [&](KeysByNode groups) {
+    std::vector<NodeBatch> sent;
+    sent.reserve(groups.size());
+    for (auto& [node, idxs] : groups) {
+      std::vector<std::string> phys;
+      phys.reserve(idxs.size());
+      for (size_t i : idxs) {
+        phys.push_back(PhysicalKey(table, keys[i].partition, keys[i].key));
+      }
+      std::future<std::vector<Result<SharedValue>>> fut =
+          nodes_[node]->SubmitMultiGet(std::move(phys));
+      sent.push_back(NodeBatch{node, std::move(idxs), std::move(fut)});
     }
-    std::future<std::vector<Result<SharedValue>>> fut =
-        nodes_[node]->SubmitMultiGet(std::move(phys));
-    inflight.push_back(Batch{node, std::move(idxs), std::move(fut)});
-  }
-  if (node_batches != nullptr) *node_batches += inflight.size();
+    if (node_batches != nullptr) *node_batches += sent.size();
+    return sent;
+  };
 
-  // Per-key final resolution, shared by the primary and hedge paths. A key
-  // whose serving node failed mid-flight, served corrupt bytes, or answered
-  // NotFound while dirty retries through the per-key Get path, which
-  // carries the full retry/failover/hedging machinery.
-  Status fatal;  // first unservable key's error, strict mode only
-  auto resolve = [&](size_t i, size_t serving_node,
-                     Result<SharedValue>& res) {
-    if (res.ok()) {
-      Result<SharedValue> unsealed = UnsealValue(*res);
-      if (unsealed.ok()) {
-        Result<SharedValue> plain =
-            DecompressCounted(*unsealed, value_copies);
+  // The batched first attempt: each key goes to the head of its serving
+  // order, and each serving node gets one request.
+  KeysByNode by_node;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    std::array<uint32_t, kMaxReplicas> order;
+    if (ServingOrder(Replicas(PlacementToken(table, keys[i].partition)),
+                     &order) == 0) {
+      return Status::IOError("no live replica for key");
+    }
+    by_node[order[0]].push_back(i);
+  }
+  std::vector<NodeBatch> batches = submit(std::move(by_node));
+
+  // Settles the keys of one node batch. A key the batch leaves unresolved
+  // (its node failed mid-flight, served corrupt bytes, or answered NotFound
+  // while dirty) goes through the replica loop.
+  auto resolve = [&](NodeBatch& from) -> Status {
+    std::vector<Result<SharedValue>> answers = from.fut.get();
+    for (size_t j = 0; j < from.idxs.size(); ++j) {
+      size_t i = from.idxs[j];
+      if (answers[j].ok()) {
+        Result<SharedValue> plain = OpenStored(*answers[j], value_copies);
         if (plain.ok()) {
           out[i] = std::move(*plain);
-          return;
+          continue;
         }
-      } else {
-        CountChecksumFailure(call_stats);
+        if (plain.status().IsChecksumMismatch()) {
+          CountChecksumFailure(call_stats);
+        }
+      } else if (answers[j].status().IsNotFound() && !NodeDirty(from.node)) {
+        continue;  // authoritative absence -> nullopt
       }
-    } else if (res.status().IsNotFound() && !NodeDirty(serving_node)) {
-      return;  // authoritative absence -> nullopt
+      if (node_batches != nullptr) ++*node_batches;
+      Result<SharedValue> got = ReadKey(table, keys[i].partition, keys[i].key,
+                                        deadline, value_copies, call_stats);
+      if (got.ok()) {
+        out[i] = std::move(*got);
+      } else if (!got.status().IsNotFound()) {
+        return got.status();
+      }
     }
-    // (Get's out-params reset, so accumulate through locals.)
-    if (node_batches != nullptr) ++*node_batches;
-    size_t retry_copies = 0;
-    ReadCallStats retry_stats;
-    Result<SharedValue> retry =
-        Get(table, keys[i].partition, keys[i].key, &retry_copies,
-            &retry_stats);
-    if (value_copies != nullptr) *value_copies += retry_copies;
-    if (call_stats != nullptr) call_stats->Merge(retry_stats);
-    if (retry.ok()) {
-      out[i] = std::move(*retry);
-      return;
-    }
-    if (retry.status().IsNotFound()) return;  // absent
-    if (key_status != nullptr) {
-      (*key_status)[i] = retry.status();
-    } else if (fatal.ok()) {
-      fatal = retry.status();
-    }
+    return Status::OK();
   };
 
-  struct HedgeGroup {
-    size_t node;
-    std::vector<size_t> idxs;
-    std::future<std::vector<Result<SharedValue>>> fut;
-  };
-
-  const int64_t hedge_us = options_.hedge_after_micros;
-  for (Batch& b : inflight) {
-    std::vector<HedgeGroup> hedges;
-    bool use_hedges = false;
-    bool deadline_hit = false;
-    if (hedge_us > 0 &&
-        b.fut.wait_for(std::chrono::microseconds(hedge_us)) !=
-            std::future_status::ready) {
-      // Slow batch: regroup its keys by each key's next live replica and
-      // fire second-chance batches there.
-      std::unordered_map<size_t, std::vector<size_t>> alt_nodes;
+  for (NodeBatch& b : batches) {
+    // A slow batch is hedged when every one of its keys has a hedge target:
+    // the keys regroup by target, one batch per target node. A key without
+    // a target would hold the call until the slow batch answers anyway.
+    std::vector<NodeBatch> hedges;
+    if (SlowPastHedge(b.fut, options_.hedge_after_micros, deadline)) {
+      KeysByNode by_alt;
       for (size_t i : b.idxs) {
-        ReplicaSet replicas = Replicas(tokens[i]);
-        for (uint32_t r : replicas) {
-          if (r != b.node && !nodes_[r]->IsDown()) {
-            alt_nodes[r].push_back(i);
-            break;
-          }
-        }
-      }
-      for (auto& [node, idxs] : alt_nodes) {
-        std::vector<std::string> phys;
-        phys.reserve(idxs.size());
-        for (size_t i : idxs) {
-          phys.push_back(PhysicalKey(table, keys[i].partition, keys[i].key));
-        }
-        std::future<std::vector<Result<SharedValue>>> fut =
-            nodes_[node]->SubmitMultiGet(std::move(phys));
-        hedges.push_back(HedgeGroup{node, std::move(idxs), std::move(fut)});
-        CountHedge(call_stats);
-      }
-      if (node_batches != nullptr) *node_batches += hedges.size();
-      // Race the primary batch against the hedge side: whichever is fully
-      // ready first serves the keys.
-      while (!hedges.empty()) {
-        if (b.fut.wait_for(kPollQuantum) == std::future_status::ready) break;
-        bool all_ready = true;
-        for (HedgeGroup& h : hedges) {
-          if (h.fut.wait_for(std::chrono::seconds(0)) !=
-              std::future_status::ready) {
-            all_ready = false;
-            break;
-          }
-        }
-        if (all_ready) {
-          use_hedges = true;
+        std::optional<size_t> alt = HedgeTarget(
+            Replicas(PlacementToken(table, keys[i].partition)), b.node);
+        if (!alt.has_value()) {
+          by_alt.clear();
           break;
         }
-        if (DeadlinePassed(deadline)) {
-          deadline_hit = true;
-          break;
-        }
+        by_alt[*alt].push_back(i);
       }
+      hedges = submit(std::move(by_alt));
+      for (size_t h = 0; h < hedges.size(); ++h) CountHedge(call_stats);
     }
-
-    if (deadline_hit) {
-      Status derr = DeadlineError(Status::OK());
-      if (key_status == nullptr) return derr;
-      for (size_t i : b.idxs) {
-        if (!out[i].has_value() && (*key_status)[i].ok()) {
-          (*key_status)[i] = derr;
-        }
-      }
-      continue;
+    // Whichever side is fully ready first serves the batch's keys.
+    std::optional<bool> hedges_won = false;
+    if (!hedges.empty()) {
+      hedges_won = RaceHedge(
+          b.fut,
+          [&hedges] {
+            return std::all_of(hedges.begin(), hedges.end(),
+                               [](NodeBatch& h) { return IsReady(h.fut); });
+          },
+          deadline);
+      if (!hedges_won.has_value()) return DeadlineError(Status::OK());
     }
-
-    if (use_hedges) {
-      std::unordered_set<size_t> served;
-      for (HedgeGroup& h : hedges) {
+    if (*hedges_won) {
+      for (NodeBatch& h : hedges) {
         CountHedgeWin(call_stats);
-        std::vector<Result<SharedValue>> batch = h.fut.get();
-        for (size_t j = 0; j < h.idxs.size(); ++j) {
-          resolve(h.idxs[j], h.node, batch[j]);
-          served.insert(h.idxs[j]);
-        }
-      }
-      // Keys with no alternate replica still need the primary's answer;
-      // otherwise the slow primary batch is abandoned.
-      if (served.size() < b.idxs.size()) {
-        std::vector<Result<SharedValue>> pbatch = b.fut.get();
-        for (size_t j = 0; j < b.idxs.size(); ++j) {
-          if (served.count(b.idxs[j]) != 0) continue;
-          resolve(b.idxs[j], b.node, pbatch[j]);
-        }
+        HGS_RETURN_NOT_OK(resolve(h));
       }
     } else {
-      std::vector<Result<SharedValue>> pbatch = b.fut.get();
-      for (size_t j = 0; j < b.idxs.size(); ++j) {
-        resolve(b.idxs[j], b.node, pbatch[j]);
-      }
+      if (!WaitReady(b.fut, deadline)) return DeadlineError(Status::OK());
+      HGS_RETURN_NOT_OK(resolve(b));
     }
-    if (!fatal.ok()) return fatal;
   }
   return out;
 }
@@ -850,60 +814,24 @@ Result<std::vector<KVPair>> Cluster::Scan(std::string_view table,
   if (call_stats != nullptr) *call_stats = ReadCallStats{};
   std::string phys_prefix = PhysicalKey(table, partition, key_prefix);
   size_t strip = table.size() + 1 + 8;  // logical key offset
-  ReplicaSet replicas = Replicas(PlacementToken(table, partition));
-  Deadline deadline = MakeDeadline();
-
-  std::array<uint32_t, kMaxReplicas> order;
-  size_t candidates = ServingOrder(replicas, &order);
-  Status last = Status::IOError("no replica available");
-  bool tried = false;
-  for (size_t i = 0; i < candidates; ++i) {
-    size_t node = order[i];
-    if (tried) CountFailover(call_stats);
-    tried = true;
-    for (size_t attempt = 0;; ++attempt) {
-      if (DeadlinePassed(deadline)) return DeadlineError(last);
-      size_t winner = node;
-      Result<std::vector<KVPair>> res =
-          HedgedSubmit<std::vector<KVPair>>(
-              node, replicas, phys_prefix,
-              [this](size_t target, const std::string& prefix) {
-                return nodes_[target]->SubmitScan(prefix);
-              },
-              deadline, call_stats, &winner);
-      if (res.ok()) {
+  return ReadReplicas<std::vector<KVPair>>(
+      PlacementToken(table, partition),
+      [this, &phys_prefix](size_t node) {
+        return nodes_[node]->SubmitScan(phys_prefix);
+      },
+      [&](std::vector<KVPair>& pairs) -> Result<std::vector<KVPair>> {
+        // Fresh, exactly sized pairs: callers cache them by their size.
         std::vector<KVPair> out;
-        out.reserve(res->size());
-        size_t copies = 0;
-        bool clean = true;
-        for (KVPair& kv : *res) {
-          Result<SharedValue> unsealed = UnsealValue(kv.value);
-          if (!unsealed.ok()) {
-            // One corrupt row spoils the replica's whole answer: fail over.
-            CountChecksumFailure(call_stats);
-            last = unsealed.status();
-            clean = false;
-            break;
-          }
+        out.reserve(pairs.size());
+        for (KVPair& kv : pairs) {
+          // One corrupt row spoils the replica's whole answer.
           HGS_ASSIGN_OR_RETURN(SharedValue plain,
-                               DecompressCounted(*unsealed, &copies));
+                               OpenStored(kv.value, value_copies));
           out.push_back(KVPair{kv.key.substr(strip), std::move(plain)});
         }
-        if (clean) {
-          if (value_copies != nullptr) *value_copies += copies;
-          return out;
-        }
-        break;  // next replica
-      }
-      last = res.status();
-      if (res.status().IsNotFound()) break;  // defensive: scans don't 404
-      if (nodes_[node]->IsDown()) break;
-      if (attempt >= options_.max_retries) break;
-      CountRetry(call_stats);
-      Backoff(attempt + 1, deadline);
-    }
-  }
-  return last;
+        return out;
+      },
+      MakeDeadline(), call_stats);
 }
 
 // -- Administration and telemetry --------------------------------------------
@@ -919,11 +847,7 @@ void Cluster::SetFaultProfile(size_t node, const FaultProfile& profile) {
 }
 
 uint64_t Cluster::TotalStoredBytes() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().bytes_stored.load(std::memory_order_relaxed);
-  }
-  return total;
+  return SumNodeStat(nodes_, &StorageNodeStats::bytes_stored);
 }
 
 uint64_t Cluster::TotalKeys() const {
@@ -933,44 +857,24 @@ uint64_t Cluster::TotalKeys() const {
 }
 
 uint64_t Cluster::TotalReadRequests() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().get_requests.load(std::memory_order_relaxed) +
-             n->stats().scan_requests.load(std::memory_order_relaxed);
-  }
-  return total;
+  return SumNodeStat(nodes_, &StorageNodeStats::get_requests) +
+         SumNodeStat(nodes_, &StorageNodeStats::scan_requests);
 }
 
 uint64_t Cluster::TotalBytesRead() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().bytes_read.load(std::memory_order_relaxed);
-  }
-  return total;
+  return SumNodeStat(nodes_, &StorageNodeStats::bytes_read);
 }
 
 uint64_t Cluster::TotalPutBatches() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().put_batches.load(std::memory_order_relaxed);
-  }
-  return total;
+  return SumNodeStat(nodes_, &StorageNodeStats::put_batches);
 }
 
 uint64_t Cluster::TotalRowsPut() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().rows_put.load(std::memory_order_relaxed);
-  }
-  return total;
+  return SumNodeStat(nodes_, &StorageNodeStats::rows_put);
 }
 
 uint64_t Cluster::TotalBytesPut() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().bytes_put.load(std::memory_order_relaxed);
-  }
-  return total;
+  return SumNodeStat(nodes_, &StorageNodeStats::bytes_put);
 }
 
 uint64_t Cluster::ContentFingerprint() const {

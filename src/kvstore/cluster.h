@@ -10,10 +10,12 @@
 // Fault tolerance (client side, mirroring a Cassandra coordinator):
 //   * every stored value is sealed with a per-value checksum, verified on
 //     read; a mismatch is a replica failure, not a query error;
-//   * reads retry transient errors with capped exponential backoff, fail
-//     over across replicas, optionally hedge a second-chance request to
-//     another replica after `hedge_after_micros`, and observe a per-request
-//     deadline;
+//   * every read (Get, Scan, and each key a MultiGet batch leaves
+//     unresolved) runs one replica loop: clean live replicas first, dirty
+//     ones last; transient errors retry with capped exponential backoff,
+//     then fail over; a request slower than `hedge_after_micros` is hedged
+//     to a clean live replica only; a per-request deadline bounds every
+//     wait, MultiGet's batch waits included;
 //   * writes honor an ack level (one/quorum/all) and queue hinted handoffs
 //     for replicas that miss a write or delete; ReplayHints/RepairNode
 //     bring a rejoined node back to byte-identical contents;
@@ -102,7 +104,7 @@ struct PutRow {
   std::string key;
   std::string value;
   ValueSchema schema = ValueSchema::kOpaque;
-  std::optional<CompressionKind> codec;
+  std::optional<CompressionKind> codec = std::nullopt;
 };
 
 /// Replication is clamped to this (real deployments rarely exceed r=5);
@@ -130,14 +132,6 @@ struct ReadCallStats {
   uint64_t hedges = 0;             ///< second-chance requests fired
   uint64_t hedge_wins = 0;         ///< hedged requests whose answer was used
   uint64_t checksum_failures = 0;  ///< values rejected by the checksum
-
-  void Merge(const ReadCallStats& o) {
-    failovers += o.failovers;
-    retries += o.retries;
-    hedges += o.hedges;
-    hedge_wins += o.hedge_wins;
-    checksum_failures += o.checksum_failures;
-  }
 };
 
 /// Cluster-lifetime resilience counters (atomic, aggregated like the
@@ -210,44 +204,35 @@ class Cluster {
   Status MultiPut(std::string_view table, std::vector<PutRow> rows,
                   size_t* put_batches = nullptr);
 
-  /// Reads one replica (load-balanced over clean live replicas, dirty ones
-  /// last), with transient-error retries, replica failover, checksum
-  /// verification, optional hedging and a per-request deadline. NotFound
-  /// when no replica holds the key — but NotFound from a dirty replica
-  /// (rejoined with hints pending) falls through to the next replica. The
-  /// returned value is a zero-copy view of the serving node's buffer
-  /// (decompression of an uncompressed block is a header-stripping window;
-  /// an LZ block materializes one shared buffer — the read path's only
-  /// value copy, counted into `value_copies` when non-null).
+  /// Reads one key through the replica loop (see the file comment).
+  /// NotFound when no replica holds the key — but NotFound from a dirty
+  /// replica (rejoined with hints pending) falls through to the next
+  /// replica. The returned value is a zero-copy view of the serving node's
+  /// buffer (decompression of an uncompressed block is a header-stripping
+  /// window; an LZ block materializes one shared buffer — the read path's
+  /// only value copy, counted into `value_copies` when non-null).
   Result<SharedValue> Get(std::string_view table, uint64_t partition,
                           std::string_view key,
                           size_t* value_copies = nullptr,
                           ReadCallStats* call_stats = nullptr);
 
-  /// Batched point reads. Keys are grouped by the storage node serving
-  /// them (replica choice is load-balanced, preferring clean live nodes)
-  /// and each group is dispatched as one node request, so the latency
-  /// model charges one seek per node batch instead of one per key. Returns
-  /// one entry per input key, in input order; absent keys yield nullopt.
-  /// Keys whose node fails mid-flight (or whose value fails its checksum)
-  /// fall back to per-key Get with its full resilience machinery. Slow
-  /// node batches are hedged to the keys' alternate replicas when hedging
-  /// is enabled.
-  ///
-  /// When `key_status` is non-null the batch degrades gracefully: keys
-  /// with no live replica (or that exhaust failover) report their error
-  /// per key while the rest of the batch is served, and the call itself
-  /// returns OK. When null, any unservable key fails the whole call (the
-  /// strict legacy contract).
+  /// Batched point reads. The first attempt sends each key to the head of
+  /// its serving order and each serving node gets one request, so the
+  /// latency model charges one seek per node batch instead of one per key.
+  /// A slow batch is hedged, regrouped by each key's clean live alternate;
+  /// the deadline bounds every wait. Each key the batch leaves unresolved
+  /// (node failed mid-flight, checksum failure, NotFound from a dirty
+  /// replica) goes through Get's replica loop under the same deadline.
+  /// Returns one entry per input key, in input order; absent keys yield
+  /// nullopt. Any unservable key fails the whole call.
   Result<std::vector<std::optional<SharedValue>>> MultiGet(
       std::string_view table, const std::vector<MultiGetKey>& keys,
       size_t* node_batches = nullptr, size_t* value_copies = nullptr,
-      ReadCallStats* call_stats = nullptr,
-      std::vector<Status>* key_status = nullptr);
+      ReadCallStats* call_stats = nullptr);
 
   /// All pairs of the partition whose key begins with `key_prefix`, in key
-  /// order, with the same resilience behavior as Get (retries, failover,
-  /// checksum verification, hedging, deadline). Keys returned are logical
+  /// order, read through Get's replica loop; the answer is accepted only
+  /// when every pair passes its checksum. Keys returned are logical
   /// (table/token stripped); values are zero-copy views (see Get for the
   /// `value_copies` contract).
   Result<std::vector<KVPair>> Scan(std::string_view table, uint64_t partition,
@@ -368,7 +353,6 @@ class Cluster {
   ReplicaSet Replicas(uint64_t token) const;
   size_t RequiredAcks(size_t n_replicas) const;
   Deadline MakeDeadline() const;
-  static bool DeadlinePassed(const Deadline& d);
   Status DeadlineError(const Status& last) const;
   void Backoff(size_t attempt, const Deadline& deadline) const;
 
@@ -392,21 +376,30 @@ class Cluster {
   /// the same keys.
   void SupersedeHints(size_t node, const std::string& phys);
 
-  /// Submits `submit(node)` with optional hedging: if the primary has not
-  /// answered within hedge_after_micros and another live replica exists,
-  /// fires a second-chance request there; the first usable answer (ok or
-  /// NotFound) wins. `*winner` reports which node's answer was returned.
-  template <typename T, typename SubmitFn>
-  Result<T> HedgedSubmit(size_t primary, const ReplicaSet& replicas,
-                         const std::string& phys, SubmitFn&& submit,
-                         const Deadline& deadline, ReadCallStats* call_stats,
-                         size_t* winner);
-
   /// Orders the live replicas of `replicas` for serving: clean nodes first
   /// (rotated by the load-balancing counter), dirty nodes last. Returns
   /// the number of candidates written into `order`.
   size_t ServingOrder(const ReplicaSet& replicas,
                       std::array<uint32_t, kMaxReplicas>* order) const;
+
+  /// Where a slow request to `primary` is hedged: the first other clean
+  /// live replica. Dirty replicas may serve stale values, so they never
+  /// take a hedge.
+  std::optional<size_t> HedgeTarget(const ReplicaSet& replicas,
+                                    size_t primary) const;
+
+  /// The replica loop behind Get, Scan and MultiGet's unresolved keys.
+  /// `submit(node)` sends one request; `accept(answer)` turns a replica's
+  /// answer into the caller's (a ChecksumMismatch fails over). Accumulates
+  /// into `call_stats`.
+  template <typename T, typename SubmitFn, typename AcceptFn>
+  Result<T> ReadReplicas(uint64_t token, SubmitFn&& submit, AcceptFn&& accept,
+                         const Deadline& deadline, ReadCallStats* call_stats);
+
+  /// Get without resetting the out-params, under the caller's deadline.
+  Result<SharedValue> ReadKey(std::string_view table, uint64_t partition,
+                              std::string_view key, const Deadline& deadline,
+                              size_t* value_copies, ReadCallStats* call_stats);
 
   void CountFailover(ReadCallStats* s);
   void CountRetry(ReadCallStats* s);

@@ -471,7 +471,9 @@ TEST(LruCacheTest, ConcurrentReadersAndWritersDoNotRace) {
           cache.Put(key, key * 2, 16);
         } else {
           auto v = cache.Get(key);
-          if (v.has_value()) EXPECT_EQ(*v, key * 2);
+          if (v.has_value()) {
+            EXPECT_EQ(*v, key * 2);
+          }
         }
       }
     });

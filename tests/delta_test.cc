@@ -40,17 +40,26 @@ static thread_local bool g_count_allocs = false;
 static thread_local size_t g_alloc_count = 0;
 
 #if HGS_ALLOC_COUNTING
-void* operator new(std::size_t n) {
+// All of them stay out of line: with one side inlined into a caller, GCC
+// pairs malloc() with `operator delete` (or `operator new` with free())
+// and warns of a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (g_count_allocs) ++g_alloc_count;
   void* p = std::malloc(n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 #endif  // HGS_ALLOC_COUNTING
 
 namespace hgs {

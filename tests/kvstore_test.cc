@@ -463,7 +463,7 @@ TEST(FaultToleranceTest, AckOneToleratesDownReplicaAsDegradedWrite) {
   EXPECT_TRUE(d.Put("t", 1, "k2", "v").IsIOError());
 }
 
-TEST(FaultToleranceTest, MultiGetDegradesPerKeyWhenKeysAreDead) {
+TEST(FaultToleranceTest, MultiGetFailsWhenAKeysOnlyReplicaIsDown) {
   Cluster c(FastOptions(3, 1));
   std::vector<MultiGetKey> keys;
   for (uint64_t p = 0; p < 30; ++p) {
@@ -472,29 +472,9 @@ TEST(FaultToleranceTest, MultiGetDegradesPerKeyWhenKeysAreDead) {
     keys.push_back(MultiGetKey{p, key});
   }
   c.SetNodeDown(0, true);
-  // Strict contract (no key_status): the whole call fails because some
-  // keys' only replica is down.
+  // The whole call fails because some keys' only replica is down.
   auto strict = c.MultiGet("t", keys);
   EXPECT_FALSE(strict.ok());
-  // Graceful contract: dead keys report per-key errors, the rest serve.
-  std::vector<Status> key_status;
-  auto multi = c.MultiGet("t", keys, nullptr, nullptr, nullptr, &key_status);
-  ASSERT_TRUE(multi.ok());
-  ASSERT_EQ(key_status.size(), keys.size());
-  size_t dead = 0;
-  size_t served = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (!key_status[i].ok()) {
-      ++dead;
-      EXPECT_FALSE((*multi)[i].has_value());
-    } else {
-      ++served;
-      ASSERT_TRUE((*multi)[i].has_value()) << keys[i].key;
-      EXPECT_EQ(*(*multi)[i], "v" + std::to_string(i));
-    }
-  }
-  EXPECT_GT(dead, 0u);
-  EXPECT_GT(served, 0u);
 }
 
 TEST(FaultToleranceTest, TransientFaultsRetryAndFailOver) {
@@ -645,14 +625,61 @@ TEST(FaultToleranceTest, DeadlineBoundsARequest) {
   FaultProfile slow;
   slow.added_latency_micros = 300'000;  // far past the deadline
   c.SetFaultProfile(0, slow);
-  auto start = std::chrono::steady_clock::now();
-  auto got = c.Get("t", 1, "k");
-  double ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-  EXPECT_FALSE(got.ok());
-  EXPECT_NE(got.status().message().find("deadline"), std::string::npos);
-  EXPECT_LT(ms, 150.0);  // did not wait out the 300ms replica
+  // Each read fails with a deadline error instead of waiting out the
+  // 300ms replica; MultiGet's batch wait is bounded like Get's and Scan's.
+  auto expect_bounded = [](const char* what, auto read) {
+    auto start = std::chrono::steady_clock::now();
+    Status st = read();
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    EXPECT_FALSE(st.ok()) << what;
+    EXPECT_NE(st.message().find("deadline"), std::string::npos) << what;
+    EXPECT_LT(ms, 150.0) << what;
+  };
+  expect_bounded("Get", [&] { return c.Get("t", 1, "k").status(); });
+  expect_bounded("Scan", [&] { return c.Scan("t", 1, "").status(); });
+  expect_bounded("MultiGet", [&] {
+    return c.MultiGet("t", {MultiGetKey{1, "k"}}).status();
+  });
+}
+
+TEST(FaultToleranceTest, HedgeNeverServesDirtyReplica) {
+  // Node 1 rejoins dirty (it missed k=new), node 0 is clean but slow. A
+  // hedge fired off the slow clean replica must not land on the dirty
+  // one, whose stale k=old would win the race.
+  ClusterOptions opts = FastOptions(2, 2);
+  opts.write_ack = WriteAck::kOne;
+  opts.hedge_after_micros = 2'000;
+  Cluster c(opts);
+  ASSERT_TRUE(c.Put("t", 1, "k", "old").ok());
+  c.SetNodeDown(1, true);
+  ASSERT_TRUE(c.Put("t", 1, "k", "new").ok());  // hint(k=new) for node 1
+  c.SetNodeDown(1, false);
+  ASSERT_TRUE(c.NodeDirty(1));
+  FaultProfile slow;
+  slow.added_latency_micros = 50'000;
+  c.SetFaultProfile(0, slow);
+  // Each read path, several times: none may serve the stale k=old.
+  auto read_get = [&]() -> std::string {
+    auto got = c.Get("t", 1, "k");
+    return got.ok() ? std::string(*got) : got.status().ToString();
+  };
+  auto read_multi = [&]() -> std::string {
+    auto got = c.MultiGet("t", {MultiGetKey{1, "k"}});
+    if (!got.ok()) return got.status().ToString();
+    return (*got)[0].has_value() ? std::string(*(*got)[0]) : "absent";
+  };
+  auto read_scan = [&]() -> std::string {
+    auto got = c.Scan("t", 1, "");
+    if (!got.ok()) return got.status().ToString();
+    return got->size() == 1 ? std::string((*got)[0].value) : "wrong size";
+  };
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(read_get(), "new");
+    EXPECT_EQ(read_multi(), "new");
+    EXPECT_EQ(read_scan(), "new");
+  }
 }
 
 TEST(FaultToleranceTest, RepairRestoresKilledNodeToTwinContents) {

@@ -406,7 +406,9 @@ TEST_F(TafFixture, FetchReportsBulkRetrievalStats) {
   // instead.
   EXPECT_EQ(stats.node_requests, son->size());
   EXPECT_LE(stats.version_scans, stats.node_requests);
-  if (stats.version_scans == 0) EXPECT_GT(stats.decode_hits, 0u);
+  if (stats.version_scans == 0) {
+    EXPECT_GT(stats.decode_hits, 0u);
+  }
   EXPECT_LE(stats.eventlist_fetches, stats.eventlist_refs);
 }
 
