@@ -39,12 +39,18 @@ double PercentileMs(std::vector<double>& sorted_ms, double p) {
   return sorted_ms[idx];
 }
 
-std::string RowKey(uint64_t i) { return "k" + std::to_string(i); }
+// Keys and values are built by appending: `"k" + std::to_string(i)` trips
+// GCC 12's -Wrestrict false positive (GCC bug 105329).
+std::string RowKey(uint64_t i) {
+  return std::string("k").append(std::to_string(i));
+}
 
 std::string RowValue(uint64_t i) {
   std::string v;
   v.reserve(256);
-  while (v.size() < 256) v += "v" + std::to_string(i * 2654435761u) + "|";
+  while (v.size() < 256) {
+    v.append("v").append(std::to_string(i * 2654435761u)).append("|");
+  }
   v.resize(256);
   return v;
 }

@@ -219,29 +219,14 @@ void Cluster::Backoff(size_t attempt, const Deadline& deadline) const {
   std::this_thread::sleep_until(wake);
 }
 
-void Cluster::CountFailover(ReadCallStats* s) {
-  resilience_.failovers.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->failovers;
-}
-
-void Cluster::CountRetry(ReadCallStats* s) {
-  resilience_.retries.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->retries;
-}
-
-void Cluster::CountChecksumFailure(ReadCallStats* s) {
-  resilience_.checksum_failures.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->checksum_failures;
-}
-
-void Cluster::CountHedge(ReadCallStats* s) {
-  resilience_.hedges.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->hedges;
-}
-
-void Cluster::CountHedgeWin(ReadCallStats* s) {
-  resilience_.hedge_wins.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->hedge_wins;
+void Cluster::Count(uint64_t ReadCallStats::*counter, ReadCallStats* s) {
+#define HGS_BUMP_LIFETIME(name)                               \
+  if (counter == &ReadCallStats::name) {                      \
+    resilience_.name.fetch_add(1, std::memory_order_relaxed); \
+  }
+  HGS_READ_CALL_COUNTERS(HGS_BUMP_LIFETIME)
+#undef HGS_BUMP_LIFETIME
+  if (s != nullptr) ++(s->*counter);
 }
 
 std::shared_ptr<const std::string> Cluster::SealForStorage(
@@ -404,7 +389,7 @@ Status Cluster::WriteRowToNode(
     Status st = n->PutBatch(std::move(rows));
     if (st.ok()) return st;
     if (n->IsDown() || attempt >= options_.max_retries) return st;
-    CountRetry(nullptr);
+    Count(&ReadCallStats::retries, nullptr);
     Backoff(attempt + 1, std::nullopt);
   }
 }
@@ -416,7 +401,7 @@ Status Cluster::DeleteRowFromNode(size_t node, const std::string& phys,
     Status st = n->Delete(phys, existed);
     if (st.ok()) return st;
     if (n->IsDown() || attempt >= options_.max_retries) return st;
-    CountRetry(nullptr);
+    Count(&ReadCallStats::retries, nullptr);
     Backoff(attempt + 1, std::nullopt);
   }
 }
@@ -509,7 +494,7 @@ Status Cluster::MultiPut(std::string_view table, std::vector<PutRow> rows,
     for (size_t attempt = 0;
          !st.ok() && !nodes_[node]->IsDown() && attempt < options_.max_retries;
          ++attempt) {
-      CountRetry(nullptr);
+      Count(&ReadCallStats::retries, nullptr);
       Backoff(attempt + 1, std::nullopt);
       st = nodes_[node]->PutBatch(build_batch(idxs));
     }
@@ -617,7 +602,7 @@ Result<T> Cluster::ReadReplicas(uint64_t token, SubmitFn&& submit,
   Status last;  // the latest replica failure
   for (size_t i = 0; i < candidates; ++i) {
     size_t node = order[i];
-    if (i > 0) CountFailover(call_stats);
+    if (i > 0) Count(&ReadCallStats::failovers, call_stats);
     for (size_t attempt = 0;; ++attempt) {
       if (DeadlinePassed(deadline)) return DeadlineError(last);
       std::future<Result<T>> fut = submit(node);
@@ -627,20 +612,20 @@ Result<T> Cluster::ReadReplicas(uint64_t token, SubmitFn&& submit,
         alt = HedgeTarget(replicas, node);
       }
       if (alt.has_value()) {
-        CountHedge(call_stats);
+        Count(&ReadCallStats::hedges, call_stats);
         hedge = submit(*alt);
       }
       bool hedge_won = false;
       std::optional<Result<T>> res =
           FirstUsable(fut, hedge, deadline, &hedge_won);
       if (!res.has_value()) return DeadlineError(last);
-      if (hedge_won) CountHedgeWin(call_stats);
+      if (hedge_won) Count(&ReadCallStats::hedge_wins, call_stats);
       size_t winner = hedge_won ? *alt : node;
       if (res->ok()) {
         Result<T> accepted = accept(**res);
         if (!accepted.status().IsChecksumMismatch()) return accepted;
         // Corrupt bytes are a replica failure, not a query error.
-        CountChecksumFailure(call_stats);
+        Count(&ReadCallStats::checksum_failures, call_stats);
         last = accepted.status();
         break;
       }
@@ -654,7 +639,7 @@ Result<T> Cluster::ReadReplicas(uint64_t token, SubmitFn&& submit,
       }
       // Crashed mid-flight or out of retries: fail over.
       if (nodes_[node]->IsDown() || attempt >= options_.max_retries) break;
-      CountRetry(call_stats);
+      Count(&ReadCallStats::retries, call_stats);
       Backoff(attempt + 1, deadline);
     }
   }
@@ -744,7 +729,7 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
           continue;
         }
         if (plain.status().IsChecksumMismatch()) {
-          CountChecksumFailure(call_stats);
+          Count(&ReadCallStats::checksum_failures, call_stats);
         }
       } else if (answers[j].status().IsNotFound() && !NodeDirty(from.node)) {
         continue;  // authoritative absence -> nullopt
@@ -778,7 +763,9 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
         by_alt[*alt].push_back(i);
       }
       hedges = submit(std::move(by_alt));
-      for (size_t h = 0; h < hedges.size(); ++h) CountHedge(call_stats);
+      for (size_t h = 0; h < hedges.size(); ++h) {
+        Count(&ReadCallStats::hedges, call_stats);
+      }
     }
     // Whichever side is fully ready first serves the batch's keys.
     std::optional<bool> hedges_won = false;
@@ -794,7 +781,7 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     }
     if (*hedges_won) {
       for (NodeBatch& h : hedges) {
-        CountHedgeWin(call_stats);
+        Count(&ReadCallStats::hedge_wins, call_stats);
         HGS_RETURN_NOT_OK(resolve(h));
       }
     } else {
@@ -892,17 +879,10 @@ uint64_t Cluster::NodeContentFingerprint(size_t node) const {
 
 void Cluster::ResetStats() {
   for (auto& n : nodes_) n->ResetStats();
-  resilience_.failovers.store(0);
-  resilience_.retries.store(0);
-  resilience_.hedges.store(0);
-  resilience_.hedge_wins.store(0);
-  resilience_.checksum_failures.store(0);
-  resilience_.degraded_writes.store(0);
-  resilience_.failed_writes.store(0);
-  resilience_.hints_queued.store(0);
-  resilience_.hints_replayed.store(0);
-  resilience_.hints_dropped.store(0);
-  resilience_.repair_rows.store(0);
+#define HGS_ZERO_COUNTER(name) resilience_.name.store(0);
+  HGS_READ_CALL_COUNTERS(HGS_ZERO_COUNTER)
+  HGS_CLUSTER_WRITE_COUNTERS(HGS_ZERO_COUNTER)
+#undef HGS_ZERO_COUNTER
 }
 
 void Cluster::PublishTouched(std::vector<EpochKey> touched) {

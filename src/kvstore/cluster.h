@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/compression.h"
+#include "common/counters.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "kvstore/storage_node.h"
@@ -124,33 +125,39 @@ struct ReplicaSet {
   const uint32_t* end() const { return nodes.data() + count; }
 };
 
+// clang-format off
+/// The per-read resilience counters: what the fault-tolerance machinery did
+/// on one read's behalf. All zero on a healthy cluster.
+#define HGS_READ_CALL_COUNTERS(X)                                   \
+  X(failovers)          /* replicas abandoned for another */        \
+  X(retries)            /* same-replica transient-error retries */  \
+  X(hedges)             /* second-chance requests fired */          \
+  X(hedge_wins)         /* hedged requests whose answer was used */ \
+  X(checksum_failures)  /* values rejected by the checksum */
+
+/// The cluster's write-path and repair counters.
+#define HGS_CLUSTER_WRITE_COUNTERS(X)                                        \
+  X(degraded_writes)  /* writes that met their ack level but missed at       \
+                         least one replica */                                \
+  X(failed_writes)    /* writes (rows) that failed to meet their ack         \
+                         level */                                            \
+  X(hints_queued)                                                            \
+  X(hints_replayed)                                                          \
+  X(hints_dropped)                                                           \
+  X(repair_rows)      /* rows streamed (restored or erased) by RepairNode */
+// clang-format on
+
 /// Per-call resilience accounting for one read. Aggregated into FetchStats
 /// by the TGI query layer; lifetime totals are also kept on the Cluster.
 struct ReadCallStats {
-  uint64_t failovers = 0;          ///< replicas abandoned for another
-  uint64_t retries = 0;            ///< same-replica transient-error retries
-  uint64_t hedges = 0;             ///< second-chance requests fired
-  uint64_t hedge_wins = 0;         ///< hedged requests whose answer was used
-  uint64_t checksum_failures = 0;  ///< values rejected by the checksum
+  HGS_READ_CALL_COUNTERS(HGS_COUNTER_FIELD)
 };
 
 /// Cluster-lifetime resilience counters (atomic, aggregated like the
 /// per-node read/write stats).
 struct ClusterResilienceStats {
-  std::atomic<uint64_t> failovers{0};
-  std::atomic<uint64_t> retries{0};
-  std::atomic<uint64_t> hedges{0};
-  std::atomic<uint64_t> hedge_wins{0};
-  std::atomic<uint64_t> checksum_failures{0};
-  /// Writes that met their ack level but missed at least one replica.
-  std::atomic<uint64_t> degraded_writes{0};
-  /// Writes (rows) that failed to meet their ack level.
-  std::atomic<uint64_t> failed_writes{0};
-  std::atomic<uint64_t> hints_queued{0};
-  std::atomic<uint64_t> hints_replayed{0};
-  std::atomic<uint64_t> hints_dropped{0};
-  /// Rows streamed (restored or erased) by RepairNode.
-  std::atomic<uint64_t> repair_rows{0};
+  HGS_READ_CALL_COUNTERS(HGS_ATOMIC_COUNTER_FIELD)
+  HGS_CLUSTER_WRITE_COUNTERS(HGS_ATOMIC_COUNTER_FIELD)
 };
 
 /// The publish-epoch map: an immutable snapshot of the index's visibility
@@ -304,6 +311,8 @@ class Cluster {
   /// Lifetime resilience counters (failovers, retries, hedges, checksum
   /// failures, degraded writes, hint traffic).
   const ClusterResilienceStats& resilience() const { return resilience_; }
+  /// Zeroes the resilience counters and every node's counters; stored
+  /// bytes are a gauge and are kept.
   void ResetStats();
 
   /// The current publish-epoch map. The returned snapshot is immutable;
@@ -401,11 +410,9 @@ class Cluster {
                               std::string_view key, const Deadline& deadline,
                               size_t* value_copies, ReadCallStats* call_stats);
 
-  void CountFailover(ReadCallStats* s);
-  void CountRetry(ReadCallStats* s);
-  void CountChecksumFailure(ReadCallStats* s);
-  void CountHedge(ReadCallStats* s);
-  void CountHedgeWin(ReadCallStats* s);
+  /// Bumps one read counter (`&ReadCallStats::retries`, ...): its lifetime
+  /// atomic in resilience_, and the caller's `s` when non-null.
+  void Count(uint64_t ReadCallStats::*counter, ReadCallStats* s);
 
   /// Delete one row on one node with transient-error retries.
   Status DeleteRowFromNode(size_t node, const std::string& phys,

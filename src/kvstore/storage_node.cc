@@ -277,16 +277,9 @@ uint64_t StorageNode::ContentFingerprint() const {
 }
 
 void StorageNode::ResetStats() {
-  stats_.get_requests.store(0);
-  stats_.scan_requests.store(0);
-  stats_.keys_read.store(0);
-  stats_.bytes_read.store(0);
-  stats_.simulated_micros.store(0);
-  stats_.put_batches.store(0);
-  stats_.rows_put.store(0);
-  stats_.bytes_put.store(0);
-  stats_.injected_faults.store(0);
-  stats_.injected_corruptions.store(0);
+#define HGS_ZERO_COUNTER(name) stats_.name.store(0);
+  HGS_STORAGE_NODE_COUNTERS(HGS_ZERO_COUNTER)
+#undef HGS_ZERO_COUNTER
 }
 
 }  // namespace hgs

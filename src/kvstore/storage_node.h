@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -64,24 +65,32 @@ struct LatencyModel {
   }
 };
 
+// clang-format off
+/// The per-node request counters, which StorageNode::ResetStats zeroes.
+#define HGS_STORAGE_NODE_COUNTERS(X)                                    \
+  X(get_requests)                                                       \
+  X(scan_requests)                                                      \
+  X(keys_read)                                                          \
+  X(bytes_read)                                                         \
+  X(simulated_micros)                                                   \
+  /* Write-side counters (the ingest path's FetchStats analogue): every \
+     write submission is one batch, so row-at-a-time ingest shows       \
+     put_batches == rows_put while group-committed ingest shows         \
+     put_batches << rows_put. */                                        \
+  X(put_batches)                                                        \
+  X(rows_put)                                                           \
+  X(bytes_put)                                                          \
+  /* Fault accounting: requests the injector failed transiently, and    \
+     values it corrupted on the way out. */                             \
+  X(injected_faults)                                                    \
+  X(injected_corruptions)
+// clang-format on
+
 struct StorageNodeStats {
-  std::atomic<uint64_t> get_requests{0};
-  std::atomic<uint64_t> scan_requests{0};
-  std::atomic<uint64_t> keys_read{0};
-  std::atomic<uint64_t> bytes_read{0};
+  HGS_STORAGE_NODE_COUNTERS(HGS_ATOMIC_COUNTER_FIELD)
+  /// A gauge of the resident value bytes, not a counter: it survives
+  /// ResetStats.
   std::atomic<uint64_t> bytes_stored{0};
-  std::atomic<uint64_t> simulated_micros{0};
-  // Write-side counters (the ingest path's FetchStats analogue): every
-  // write submission is one batch, so row-at-a-time ingest shows
-  // put_batches == rows_put while group-committed ingest shows
-  // put_batches << rows_put.
-  std::atomic<uint64_t> put_batches{0};
-  std::atomic<uint64_t> rows_put{0};
-  std::atomic<uint64_t> bytes_put{0};
-  // Fault accounting: requests the injector failed transiently, and values
-  // it corrupted on the way out.
-  std::atomic<uint64_t> injected_faults{0};
-  std::atomic<uint64_t> injected_corruptions{0};
 };
 
 /// One row of a group-committed write batch. The value buffer is shared:
@@ -173,6 +182,7 @@ class StorageNode {
   bool EraseRow(const std::string& key);
 
   const StorageNodeStats& stats() const { return stats_; }
+  /// Zeroes the counters; the bytes_stored gauge is kept.
   void ResetStats();
 
  private:

@@ -28,97 +28,25 @@ class WallTimer {
       std::chrono::steady_clock::now();
 };
 
-// Folds one cluster read's resilience accounting into the query's stats.
-void MergeCallStats(FetchStats* stats, const ReadCallStats& call) {
-  if (stats == nullptr) return;
-  stats->failovers += call.failovers;
-  stats->retries += call.retries;
-  stats->hedges += call.hedges;
-  stats->hedge_wins += call.hedge_wins;
-  stats->checksum_failures += call.checksum_failures;
-}
-
-// Thread-safe accumulation of fetch counters during a parallel fetch.
-struct AtomicStats {
-  std::atomic<uint64_t> kv_requests{0};
-  std::atomic<uint64_t> kv_batches{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> micro_deltas{0};
-  std::atomic<uint64_t> bytes{0};
-  std::atomic<uint64_t> node_requests{0};
-  std::atomic<uint64_t> version_scans{0};
-  std::atomic<uint64_t> eventlist_refs{0};
-  std::atomic<uint64_t> eventlist_fetches{0};
-  std::atomic<uint64_t> decode_hits{0};
-  std::atomic<uint64_t> decodes{0};
-  std::atomic<uint64_t> decoded_bytes{0};
-  std::atomic<uint64_t> value_copies{0};
-
-  /// Accumulates a task-local FetchStats (wall_seconds is ignored; the
-  /// caller's WallTimer covers the whole query).
-  void Add(const FetchStats& s) {
-    kv_requests.fetch_add(s.kv_requests, std::memory_order_relaxed);
-    kv_batches.fetch_add(s.kv_batches, std::memory_order_relaxed);
-    cache_hits.fetch_add(s.cache_hits, std::memory_order_relaxed);
-    cache_misses.fetch_add(s.cache_misses, std::memory_order_relaxed);
-    micro_deltas.fetch_add(s.micro_deltas, std::memory_order_relaxed);
-    bytes.fetch_add(s.bytes, std::memory_order_relaxed);
-    node_requests.fetch_add(s.node_requests, std::memory_order_relaxed);
-    version_scans.fetch_add(s.version_scans, std::memory_order_relaxed);
-    eventlist_refs.fetch_add(s.eventlist_refs, std::memory_order_relaxed);
-    eventlist_fetches.fetch_add(s.eventlist_fetches,
-                                std::memory_order_relaxed);
-    decode_hits.fetch_add(s.decode_hits, std::memory_order_relaxed);
-    decodes.fetch_add(s.decodes, std::memory_order_relaxed);
-    decoded_bytes.fetch_add(s.decoded_bytes, std::memory_order_relaxed);
-    value_copies.fetch_add(s.value_copies, std::memory_order_relaxed);
-  }
-
-  void FlushInto(FetchStats* stats) const {
-    if (stats == nullptr) return;
-    stats->kv_requests += kv_requests.load();
-    stats->kv_batches += kv_batches.load();
-    stats->cache_hits += cache_hits.load();
-    stats->cache_misses += cache_misses.load();
-    stats->micro_deltas += micro_deltas.load();
-    stats->bytes += bytes.load();
-    stats->node_requests += node_requests.load();
-    stats->version_scans += version_scans.load();
-    stats->eventlist_refs += eventlist_refs.load();
-    stats->eventlist_fetches += eventlist_fetches.load();
-    stats->decode_hits += decode_hits.load();
-    stats->decodes += decodes.load();
-    stats->decoded_bytes += decoded_bytes.load();
-    stats->value_copies += value_copies.load();
-  }
-};
-
-// Runs fn(i, &local_stats) for i in [0, n) on the shared pool, accumulates
-// every task's local FetchStats into `stats`, and returns the first non-OK
-// status (remaining iterations are skipped once a task fails). Factors out
-// the AtomicStats / first-error plumbing shared by the parallel fetch
-// stages.
+// Runs fn(i, &local_stats) for i in [0, n) on the shared pool, merges
+// every task's local FetchStats into `stats` after the loop, and returns
+// the failure with the lowest index (remaining iterations are skipped once
+// a task fails). Each task owns one stats slot, so counting takes no lock.
 Status ParallelStatusFor(
     size_t n, size_t parallelism, FetchStats* stats,
     const std::function<Status(size_t, FetchStats*)>& fn) {
-  AtomicStats astats;
+  std::vector<FetchStats> local(n);
   std::atomic<bool> failed{false};
-  Status first_error;
-  Mutex error_mu;
-  ParallelFor(n, parallelism, [&](size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    FetchStats local;
-    Status s = fn(i, &local);
-    astats.Add(local);
-    if (!s.ok()) {
-      MutexLock lock(error_mu);
-      if (!failed.exchange(true)) first_error = s;
-    }
+  Status status = StatusParallelFor(n, parallelism, [&](size_t i) {
+    if (failed.load(std::memory_order_relaxed)) return Status::OK();
+    Status s = fn(i, &local[i]);
+    if (!s.ok()) failed.store(true, std::memory_order_relaxed);
+    return s;
   });
-  astats.FlushInto(stats);
-  if (failed.load()) return first_error;
-  return Status::OK();
+  if (stats != nullptr) {
+    for (const FetchStats& l : local) stats->Merge(l);
+  }
+  return status;
 }
 
 // Cache key of one read: kind byte ('G' point read / 'S' scan), the
@@ -452,8 +380,8 @@ Result<std::vector<std::optional<SharedValue>>> TGIQueryManager::FetchValues(
     ReadCallStats call;
     auto fetched = cluster_->MultiGet(table, keys, &batches, &copies, &call);
     if (!fetched.ok()) return fetched.status();
-    MergeCallStats(stats, call);
     if (stats != nullptr) {
+      stats->Merge(call);
       stats->kv_batches += batches;
       stats->value_copies += copies;
     }
@@ -488,8 +416,8 @@ Result<std::vector<std::optional<SharedValue>>> TGIQueryManager::FetchValues(
   ReadCallStats call;
   auto fetched = cluster_->MultiGet(table, misses, &batches, &copies, &call);
   if (!fetched.ok()) return fetched.status();
-  MergeCallStats(stats, call);
   if (stats != nullptr) {
+    stats->Merge(call);
     stats->kv_batches += batches;
     stats->value_copies += copies;
   }
@@ -540,8 +468,8 @@ TGIQueryManager::CachedScan(const MetaState& meta, std::string_view table,
   ReadCallStats call;
   auto res = cluster_->Scan(table, partition, prefix, &copies, &call);
   if (!res.ok()) return res.status();
-  MergeCallStats(stats, call);
   if (stats != nullptr) {
+    stats->Merge(call);
     ++stats->kv_batches;
     stats->value_copies += copies;
   }
@@ -1370,17 +1298,11 @@ Result<Delta> TGIQueryManager::GetNodeStateDelta(NodeId id, Timestamp t,
                                                  FetchStats* stats) {
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta, EnsureFresh(stats));
-  return GetNodeStateDeltaWith(*meta, id, t, stats);
-}
-
-Result<Delta> TGIQueryManager::GetNodeStateDeltaWith(const MetaState& meta,
-                                                     NodeId id, Timestamp t,
-                                                     FetchStats* stats) {
-  const tgi::TimespanMeta* span = SpanFor(meta, t);
+  const tgi::TimespanMeta* span = SpanFor(*meta, t);
   if (span == nullptr) return Delta();
-  HGS_ASSIGN_OR_RETURN(MicroPartitionId pid, PidOf(meta, id, *span, stats));
+  HGS_ASSIGN_OR_RETURN(MicroPartitionId pid, PidOf(*meta, id, *span, stats));
   HGS_ASSIGN_OR_RETURN(Delta micro,
-                       FetchMicroStateAt(meta, *span, pid, t, false, stats));
+                       FetchMicroStateAt(*meta, *span, pid, t, false, stats));
   return micro.FilterById(id);
 }
 
@@ -1389,19 +1311,10 @@ Result<NodeHistory> TGIQueryManager::GetNodeHistory(NodeId id, Timestamp from,
                                                     FetchStats* stats) {
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta, EnsureFresh(stats));
-  return GetNodeHistoryWith(*meta, id, from, to, stats);
-}
-
-Result<NodeHistory> TGIQueryManager::GetNodeHistoryWith(const MetaState& meta,
-                                                        NodeId id,
-                                                        Timestamp from,
-                                                        Timestamp to,
-                                                        FetchStats* stats) {
   // Single retrieval = bulk retrieval of one id, so the two stay
   // result-identical by construction.
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<NodeHistory> hists,
-      GetNodeHistoriesWith(meta, {id}, from, to, stats));
+  HGS_ASSIGN_OR_RETURN(std::vector<NodeHistory> hists,
+                       GetNodeHistoriesWith(*meta, {id}, from, to, stats));
   return std::move(hists[0]);
 }
 
@@ -1520,23 +1433,20 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
   // buckets[k]: per referencing member, pointers to its events in order.
   std::vector<std::unordered_map<size_t, std::vector<const Event*>>> buckets(
       keys.size());
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      keys.size(), fetch_parallelism_, /*stats=*/nullptr,
-      [&](size_t k, FetchStats*) -> Status {
-        if (evls[k] == nullptr) return Status::OK();
-        auto& bucket = buckets[k];
-        const auto& members = members_of[k];
-        for (const Event& e : evls[k]->events()) {
-          if (e.time <= from || e.time > to) continue;
-          auto it = members.find(e.u);
-          if (it != members.end()) bucket[it->second].push_back(&e);
-          if (e.IsEdgeEvent() && e.v != e.u) {
-            it = members.find(e.v);
-            if (it != members.end()) bucket[it->second].push_back(&e);
-          }
-        }
-        return Status::OK();
-      }));
+  ParallelFor(keys.size(), fetch_parallelism_, [&](size_t k) {
+    if (evls[k] == nullptr) return;
+    auto& bucket = buckets[k];
+    const auto& members = members_of[k];
+    for (const Event& e : evls[k]->events()) {
+      if (e.time <= from || e.time > to) continue;
+      auto it = members.find(e.u);
+      if (it != members.end()) bucket[it->second].push_back(&e);
+      if (e.IsEdgeEvent() && e.v != e.u) {
+        it = members.find(e.v);
+        if (it != members.end()) bucket[it->second].push_back(&e);
+      }
+    }
+  });
 
   std::vector<NodeHistory> hist_of(uniq.size());
   for (size_t u = 0; u < uniq.size(); ++u) {
@@ -1626,19 +1536,15 @@ Result<std::vector<Event>> TGIQueryManager::GetMergedMemberEvents(
   // Scan each row once, keeping in-range events that touch any member. An
   // event touching two members through one row is still appended once.
   std::vector<std::vector<const Event*>> picked(keys.size());
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      keys.size(), fetch_parallelism_, /*stats=*/nullptr,
-      [&](size_t k, FetchStats*) -> Status {
-        if (evls[k] == nullptr) return Status::OK();
-        for (const Event& e : evls[k]->events()) {
-          if (e.time <= from || e.time > to) continue;
-          if (members.contains(e.u) ||
-              (e.IsEdgeEvent() && members.contains(e.v))) {
-            picked[k].push_back(&e);
-          }
-        }
-        return Status::OK();
-      }));
+  ParallelFor(keys.size(), fetch_parallelism_, [&](size_t k) {
+    if (evls[k] == nullptr) return;
+    for (const Event& e : evls[k]->events()) {
+      if (e.time <= from || e.time > to) continue;
+      if (members.contains(e.u) || (e.IsEdgeEvent() && members.contains(e.v))) {
+        picked[k].push_back(&e);
+      }
+    }
+  });
 
   // Merge by chunk: eventlist chunks are consecutive slices of the
   // chronological ingest stream, so concatenating them in (timespan,
@@ -1893,12 +1799,10 @@ Result<OneHopHistory> TGIQueryManager::GetOneHopHistory(NodeId id,
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
+  HGS_ASSIGN_OR_RETURN(std::vector<NodeHistory> center,
+                       GetNodeHistoriesWith(meta, {id}, from, to, stats));
   OneHopHistory out;
-  {
-    auto center = GetNodeHistoryWith(meta, id, from, to, stats);
-    if (!center.ok()) return center.status();
-    out.center = std::move(*center);
-  }
+  out.center = std::move(center[0]);
 
   // Neighbor activity intervals: initial edges are active from `from`; edge
   // events extend / bound them (Algorithm 5's UpdateNeighborInfo).
@@ -1929,23 +1833,17 @@ Result<OneHopHistory> TGIQueryManager::GetOneHopHistory(NodeId id,
       active.begin(), active.end());
   std::sort(nbrs.begin(), nbrs.end());
   out.neighbors.resize(nbrs.size());
-  std::atomic<bool> failed{false};
-  Status first_error;
-  Mutex mu;
-  ParallelFor(nbrs.size(), fetch_parallelism_, [&](size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    FetchStats local;
-    auto res = GetNodeHistoryWith(meta, nbrs[i].first, nbrs[i].second.first,
-                                  nbrs[i].second.second, &local);
-    MutexLock lock(mu);
-    if (stats != nullptr) stats->Merge(local);
-    if (!res.ok()) {
-      if (!failed.exchange(true)) first_error = res.status();
-      return;
-    }
-    out.neighbors[i] = std::move(*res);
-  });
-  if (failed.load()) return first_error;
+  HGS_RETURN_NOT_OK(ParallelStatusFor(
+      nbrs.size(), fetch_parallelism_, stats,
+      [&](size_t i, FetchStats* local) -> Status {
+        const auto& [nbr, active_range] = nbrs[i];
+        HGS_ASSIGN_OR_RETURN(std::vector<NodeHistory> hist,
+                             GetNodeHistoriesWith(meta, {nbr},
+                                                  active_range.first,
+                                                  active_range.second, local));
+        out.neighbors[i] = std::move(hist[0]);
+        return Status::OK();
+      }));
   return out;
 }
 

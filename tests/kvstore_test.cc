@@ -18,6 +18,15 @@ ClusterOptions FastOptions(size_t nodes = 2, size_t replication = 1) {
   return opts;
 }
 
+// `prefix` followed by `n` in decimal. Built by appending: the shorter
+// `"k" + std::to_string(n)` trips GCC 12's -Wrestrict false positive (GCC
+// bug 105329).
+std::string Numbered(std::string_view prefix, uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 TEST(ClusterTest, PutGetRoundTrip) {
   Cluster c(FastOptions());
   ASSERT_TRUE(c.Put("t", 1, "key", "value").ok());
@@ -81,11 +90,11 @@ TEST(ClusterTest, DeleteRemovesFromAllReplicas) {
 TEST(ClusterTest, ReplicationSurvivesNodeFailure) {
   Cluster c(FastOptions(3, 2));
   for (uint64_t p = 0; p < 30; ++p) {
-    ASSERT_TRUE(c.Put("t", p, "k" + std::to_string(p), "v").ok());
+    ASSERT_TRUE(c.Put("t", p, Numbered("k", p), "v").ok());
   }
   c.SetNodeDown(0, true);
   for (uint64_t p = 0; p < 30; ++p) {
-    auto got = c.Get("t", p, "k" + std::to_string(p));
+    auto got = c.Get("t", p, Numbered("k", p));
     ASSERT_TRUE(got.ok()) << "partition " << p << ": "
                           << got.status().ToString();
     EXPECT_EQ(*got, "v");
@@ -97,7 +106,7 @@ TEST(ClusterTest, NoReplicationFailsWhenOwnerDown) {
   // Find a partition owned by node 0.
   bool found_failure = false;
   for (uint64_t p = 0; p < 16 && !found_failure; ++p) {
-    std::string key = "k" + std::to_string(p);
+    std::string key = Numbered("k", p);
     ASSERT_TRUE(c.Put("t", p, key, "v").ok());
     c.SetNodeDown(0, true);
     auto got = c.Get("t", p, key);
@@ -130,7 +139,9 @@ TEST(ClusterTest, CompressionIsTransparent) {
 }
 
 TEST(ClusterTest, StatsAccounting) {
-  Cluster c(FastOptions(1));
+  ClusterOptions opts = FastOptions(2, 2);
+  opts.retry_backoff_micros = 10;  // keep the test fast
+  Cluster c(opts);
   ASSERT_TRUE(c.Put("t", 1, "k", "0123456789").ok());
   c.ResetStats();
   ASSERT_TRUE(c.Get("t", 1, "k").ok());
@@ -138,6 +149,35 @@ TEST(ClusterTest, StatsAccounting) {
   EXPECT_EQ(c.TotalReadRequests(), 2u);
   EXPECT_GT(c.TotalBytesRead(), 0u);
   EXPECT_GT(c.TotalKeys(), 0u);
+
+  // A failing replica makes reads retry and fail over and writes miss
+  // their ack level. ResetStats clears every counter but keeps the stored
+  // bytes, which are a gauge.
+  FaultProfile flaky;
+  flaky.transient_error_prob = 1.0;
+  c.SetFaultProfile(0, flaky);
+  for (int i = 0; i < 4 && c.resilience().failovers.load() == 0; ++i) {
+    ASSERT_TRUE(c.Get("t", 1, "k").ok());
+  }
+  EXPECT_FALSE(c.Put("t", 2, "k", "v").ok());
+  EXPECT_GT(c.resilience().retries.load(), 0u);
+  EXPECT_GT(c.resilience().failovers.load(), 0u);
+  EXPECT_GT(c.resilience().failed_writes.load(), 0u);
+  EXPECT_GT(c.TotalPutBatches(), 0u);
+  const uint64_t stored = c.TotalStoredBytes();
+  EXPECT_GT(stored, 0u);
+  c.ResetStats();
+#define HGS_EXPECT_ZERO(name) \
+  EXPECT_EQ(c.resilience().name.load(), 0u) << #name;
+  HGS_READ_CALL_COUNTERS(HGS_EXPECT_ZERO)
+  HGS_CLUSTER_WRITE_COUNTERS(HGS_EXPECT_ZERO)
+#undef HGS_EXPECT_ZERO
+  EXPECT_EQ(c.TotalReadRequests(), 0u);
+  EXPECT_EQ(c.TotalBytesRead(), 0u);
+  EXPECT_EQ(c.TotalPutBatches(), 0u);
+  EXPECT_EQ(c.TotalRowsPut(), 0u);
+  EXPECT_EQ(c.TotalBytesPut(), 0u);
+  EXPECT_EQ(c.TotalStoredBytes(), stored);
 }
 
 TEST(ClusterTest, OverwriteUpdatesStoredBytes) {
@@ -154,13 +194,12 @@ TEST(MultiGetTest, MatchesLoopedGetOnMultiNodeCluster) {
   std::vector<MultiGetKey> keys;
   for (uint64_t p = 0; p < 8; ++p) {
     for (int k = 0; k < 5; ++k) {
-      std::string key = "k" + std::to_string(p) + "-" + std::to_string(k);
-      ASSERT_TRUE(
-          c.Put("t", p, key, "v" + std::to_string(p * 10 + k)).ok());
+      std::string key = Numbered("k", p) + Numbered("-", k);
+      ASSERT_TRUE(c.Put("t", p, key, Numbered("v", p * 10 + k)).ok());
       keys.push_back(MultiGetKey{p, key});
     }
     // Interleave keys that were never written.
-    keys.push_back(MultiGetKey{p, "missing" + std::to_string(p)});
+    keys.push_back(MultiGetKey{p, Numbered("missing", p)});
   }
   size_t batches = 0;
   auto multi = c.MultiGet("t", keys, &batches);
@@ -195,8 +234,8 @@ TEST(MultiGetTest, SurvivesNodeFailureWithReplication) {
   Cluster c(FastOptions(3, 2));
   std::vector<MultiGetKey> keys;
   for (uint64_t p = 0; p < 30; ++p) {
-    std::string key = "k" + std::to_string(p);
-    ASSERT_TRUE(c.Put("t", p, key, "v" + std::to_string(p)).ok());
+    std::string key = Numbered("k", p);
+    ASSERT_TRUE(c.Put("t", p, key, Numbered("v", p)).ok());
     keys.push_back(MultiGetKey{p, key});
   }
   c.SetNodeDown(0, true);
@@ -204,7 +243,7 @@ TEST(MultiGetTest, SurvivesNodeFailureWithReplication) {
   ASSERT_TRUE(multi.ok());
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_TRUE((*multi)[i].has_value()) << "partition " << i;
-    EXPECT_EQ(*(*multi)[i], "v" + std::to_string(i));
+    EXPECT_EQ(*(*multi)[i], Numbered("v", i));
   }
 }
 
@@ -230,7 +269,7 @@ TEST(MultiGetTest, OneBatchCountsAsOneRequestAndOneSeek) {
   Cluster c(opts);
   std::vector<MultiGetKey> keys;
   for (int i = 0; i < 8; ++i) {
-    std::string key = "k" + std::to_string(i);
+    std::string key = Numbered("k", i);
     ASSERT_TRUE(c.Put("t", 1, key, "v").ok());
     keys.push_back(MultiGetKey{1, key});
   }
@@ -247,8 +286,8 @@ TEST(MultiPutTest, MatchesLoopedPutContentsAndCounters) {
   std::vector<PutRow> rows;
   for (uint64_t p = 0; p < 8; ++p) {
     for (int k = 0; k < 5; ++k) {
-      std::string key = "k" + std::to_string(p) + "-" + std::to_string(k);
-      std::string value = "v" + std::to_string(p * 10 + k);
+      std::string key = Numbered("k", p) + Numbered("-", k);
+      std::string value = Numbered("v", p * 10 + k);
       ASSERT_TRUE(looped.Put("t", p, key, value).ok());
       rows.push_back(PutRow{p, key, value});
     }
@@ -272,15 +311,15 @@ TEST(MultiPutTest, ReplicatedRowsSurviveNodeFailure) {
   Cluster c(FastOptions(3, 2));
   std::vector<PutRow> rows;
   for (uint64_t p = 0; p < 30; ++p) {
-    rows.push_back(PutRow{p, "k" + std::to_string(p), "v" + std::to_string(p)});
+    rows.push_back(PutRow{p, Numbered("k", p), Numbered("v", p)});
   }
   ASSERT_TRUE(c.MultiPut("t", std::move(rows)).ok());
   EXPECT_EQ(c.TotalRowsPut(), 60u);  // one stored row per replica
   c.SetNodeDown(0, true);
   for (uint64_t p = 0; p < 30; ++p) {
-    auto got = c.Get("t", p, "k" + std::to_string(p));
+    auto got = c.Get("t", p, Numbered("k", p));
     ASSERT_TRUE(got.ok()) << "partition " << p;
-    EXPECT_EQ(*got, "v" + std::to_string(p));
+    EXPECT_EQ(*got, Numbered("v", p));
   }
 }
 
@@ -467,8 +506,8 @@ TEST(FaultToleranceTest, MultiGetFailsWhenAKeysOnlyReplicaIsDown) {
   Cluster c(FastOptions(3, 1));
   std::vector<MultiGetKey> keys;
   for (uint64_t p = 0; p < 30; ++p) {
-    std::string key = "k" + std::to_string(p);
-    ASSERT_TRUE(c.Put("t", p, key, "v" + std::to_string(p)).ok());
+    std::string key = Numbered("k", p);
+    ASSERT_TRUE(c.Put("t", p, key, Numbered("v", p)).ok());
     keys.push_back(MultiGetKey{p, key});
   }
   c.SetNodeDown(0, true);
@@ -586,8 +625,8 @@ TEST(FaultToleranceTest, HedgedReadBeatsSlowReplica) {
   Cluster c(opts);
   std::vector<MultiGetKey> keys;
   for (int k = 0; k < 8; ++k) {
-    std::string key = "k" + std::to_string(k);
-    ASSERT_TRUE(c.Put("t", 1, key, "v" + std::to_string(k)).ok());
+    std::string key = Numbered("k", k);
+    ASSERT_TRUE(c.Put("t", 1, key, Numbered("v", k)).ok());
     keys.push_back(MultiGetKey{1, key});
   }
   FaultProfile slow;
@@ -613,7 +652,7 @@ TEST(FaultToleranceTest, HedgedReadBeatsSlowReplica) {
   ASSERT_TRUE(multi.ok());
   for (int k = 0; k < 8; ++k) {
     ASSERT_TRUE((*multi)[k].has_value());
-    EXPECT_EQ(*(*multi)[k], "v" + std::to_string(k));
+    EXPECT_EQ(*(*multi)[k], Numbered("v", k));
   }
 }
 
@@ -689,8 +728,8 @@ TEST(FaultToleranceTest, RepairRestoresKilledNodeToTwinContents) {
   Cluster twin(opts);
   auto put_range = [](Cluster& c, int lo, int hi) {
     for (int k = lo; k < hi; ++k) {
-      EXPECT_TRUE(c.Put("t", static_cast<uint64_t>(k % 11),
-                        "k" + std::to_string(k), "v" + std::to_string(k))
+      EXPECT_TRUE(c.Put("t", static_cast<uint64_t>(k % 11), Numbered("k", k),
+                        Numbered("v", k))
                       .ok());
     }
   };
@@ -704,14 +743,12 @@ TEST(FaultToleranceTest, RepairRestoresKilledNodeToTwinContents) {
   for (int k = 0; k < 10; ++k) {
     // kOne ack: both deletes succeed even with faulty's node 1 dead (the
     // dead replica gets a tombstone hint).
-    EXPECT_TRUE(faulty
-                    .Delete("t", static_cast<uint64_t>(k % 11),
-                            "k" + std::to_string(k))
-                    .ok());
-    EXPECT_TRUE(twin
-                    .Delete("t", static_cast<uint64_t>(k % 11),
-                            "k" + std::to_string(k))
-                    .ok());
+    EXPECT_TRUE(
+        faulty.Delete("t", static_cast<uint64_t>(k % 11), Numbered("k", k))
+            .ok());
+    EXPECT_TRUE(
+        twin.Delete("t", static_cast<uint64_t>(k % 11), Numbered("k", k))
+            .ok());
   }
   faulty.SetNodeDown(1, false);
   ASSERT_TRUE(faulty.RepairNode(1).ok());
@@ -735,12 +772,12 @@ TEST(LatencySimulationTest, ParallelRequestsOverlapOnServerThreads) {
   opts.latency.seek_micros = 5'000;
   Cluster c(opts);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(c.Put("t", 1, "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(c.Put("t", 1, Numbered("k", i), "v").ok());
   }
   // 4 sequential gets ~ 20ms; 4 parallel gets on 4 server threads ~ 5ms.
   auto start = std::chrono::steady_clock::now();
   ParallelFor(4, 4, [&](size_t i) {
-    ASSERT_TRUE(c.Get("t", 1, "k" + std::to_string(i)).ok());
+    ASSERT_TRUE(c.Get("t", 1, Numbered("k", i)).ok());
   });
   double parallel_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - start)

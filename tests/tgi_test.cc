@@ -1143,5 +1143,88 @@ TEST(TGITest, ReplicationReducesOneHopFetches) {
   EXPECT_LT(with_replication, without_replication);
 }
 
+// Every retry, failover, hedge and checksum failure the cluster client runs
+// on a query's behalf must reach that query's FetchStats, including those
+// inside parallel fetch stages. Faults hit every replica and both cache
+// tiers are off, so every read goes to the faulty cluster.
+TEST(TGIQueryManagerTest, ResilienceCountersReachFetchStats) {
+  constexpr uint64_t kFaultSeed = 0x5EED13;
+  SCOPED_TRACE(testing::Message() << "fault_seed=" << kFaultSeed);
+  auto events = SmallHistory(61, 4'000);
+  const Timestamp end = workload::EndTime(events);
+  Graph final_state = workload::ReplayToGraph(events, end);
+  std::vector<NodeId> ids = final_state.NodeIds();
+  NodeId hub = ids.front();
+  for (NodeId id : ids) {
+    if (final_state.Neighbors(id).size() > final_state.Neighbors(hub).size()) {
+      hub = id;
+    }
+  }
+  ids.resize(std::min<size_t>(ids.size(), 16));
+
+  for (ClusteringOrder order :
+       {ClusteringOrder::kDeltaMajor, ClusteringOrder::kPartitionMajor}) {
+    SCOPED_TRACE(testing::Message() << "order=" << static_cast<int>(order));
+    ClusterOptions copts = FastCluster(3);
+    copts.replication = 3;
+    copts.retry_backoff_micros = 10;
+    copts.fault_seed = kFaultSeed;
+    Cluster cluster(copts);
+    TGIOptions opts = SmallOptions();
+    opts.clustering_order = order;
+    opts.read_cache_bytes = 0;
+    opts.decoded_cache_bytes = 0;
+    TGI tgi(&cluster, opts);
+    ASSERT_TRUE(tgi.BuildFrom(events).ok());
+    auto qm = tgi.OpenQueryManager(/*fetch_parallelism=*/4).value();
+
+    FaultProfile faults;
+    faults.transient_error_prob = 0.1;
+    for (size_t n = 0; n < cluster.num_nodes(); ++n) {
+      cluster.SetFaultProfile(n, faults);
+    }
+    faults.corrupt_prob = 0.2;
+    cluster.SetFaultProfile(0, faults);
+
+    auto lifetime = [&cluster] {
+      ReadCallStats out;
+#define HGS_LOAD_COUNTER(name) out.name = cluster.resilience().name.load();
+      HGS_READ_CALL_COUNTERS(HGS_LOAD_COUNTER)
+#undef HGS_LOAD_COUNTER
+      return out;
+    };
+    uint64_t exercised = 0;
+    auto expect_counted = [&](const char* what, const auto& query) {
+      SCOPED_TRACE(what);
+      ReadCallStats before = lifetime();
+      FetchStats stats;
+      Status st = query(&stats);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ReadCallStats after = lifetime();
+#define HGS_EXPECT_COUNTED(name)                            \
+  EXPECT_EQ(stats.name, after.name - before.name) << #name; \
+  exercised += stats.name;
+      HGS_READ_CALL_COUNTERS(HGS_EXPECT_COUNTED)
+#undef HGS_EXPECT_COUNTED
+    };
+    expect_counted("GetSnapshot", [&](FetchStats* s) {
+      return qm->GetSnapshot(end, s).status();
+    });
+    expect_counted("GetNodeHistories", [&](FetchStats* s) {
+      return qm->GetNodeHistories(ids, 0, end, s).status();
+    });
+    expect_counted("GetEventsInRange", [&](FetchStats* s) {
+      return qm->GetEventsInRange(0, end, s).status();
+    });
+    expect_counted("GetKHopNeighborhood", [&](FetchStats* s) {
+      return qm->GetKHopNeighborhood(hub, end, 2, s).status();
+    });
+    expect_counted("GetOneHopHistory", [&](FetchStats* s) {
+      return qm->GetOneHopHistory(hub, 0, end, s).status();
+    });
+    EXPECT_GT(exercised, 0u);  // the faults really fired
+  }
+}
+
 }  // namespace
 }  // namespace hgs
