@@ -66,14 +66,11 @@ struct TGIOptions {
   /// rows and partition scans are cached keyed by their (table, partition,
   /// row) coordinates, with LRU byte-budget eviction, so repeated and
   /// overlapping retrievals skip the simulated fetch round trips entirely.
-  /// The cache is invalidated whenever index metadata is re-published
-  /// (BuildFrom / AppendBatch), keeping batched updates correct. 0 disables
-  /// caching.
+  /// Each key carries the sub-epoch of its (table, partition) scope, so a
+  /// re-publish (BuildFrom / AppendBatch) evicts only the entries of the
+  /// scopes it touched. The budget is split into one lock shard per 64 KiB,
+  /// at most 16. 0 disables caching.
   size_t read_cache_bytes = 64ull << 20;
-
-  /// Shard count of the read cache; each shard has its own lock, so this
-  /// bounds lock contention between parallel fetch clients.
-  size_t read_cache_shards = 16;
 
   /// Byte budget of the decoded-object cache (second read-side tier). Where
   /// the partition-delta cache saves round trips, this tier saves CPU: it
@@ -81,8 +78,8 @@ struct TGIOptions {
   /// keyed by the same epoch-scoped row coordinates, so a repeated read
   /// costs neither a fetch nor a Deserialize — the dominant term once
   /// fetches are batched and cached. Budgeted by decoded footprint
-  /// (SerializedSizeBytes), invalidated with the byte cache on republish,
-  /// sharded like read_cache_shards. 0 disables the tier.
+  /// (SerializedSizeBytes), invalidated by scope like the byte cache, and
+  /// sharded from its own budget the same way. 0 disables the tier.
   size_t decoded_cache_bytes = 32ull << 20;
 
   /// Worker parallelism of the ingest pipeline. The event stream of a
@@ -122,12 +119,6 @@ struct TGIOptions {
   std::optional<CompressionKind> row_compression;
   std::optional<CompressionKind> eventlist_compression;
   std::optional<CompressionKind> versions_compression;
-
-  /// TinyLFU-style admission on both read-side cache tiers: a doorkeeper
-  /// bit array plus a small frequency sketch gate inserts that would evict,
-  /// so one cold snapshot scan over the whole key space cannot flush a hot
-  /// node-history working set. Off by default (pure LRU admission).
-  bool cache_tinylfu_admission = false;
 
   /// Effective checkpoint interval after defaulting rules.
   size_t EffectiveCheckpointInterval() const {

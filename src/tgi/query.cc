@@ -49,62 +49,34 @@ Status ParallelStatusFor(
   return status;
 }
 
-// Cache key of one read: kind byte ('G' point read / 'S' scan), the
-// (table, partition) scope's SUB-epoch under the reading query's pinned
-// epoch map, table, partition token, then the row key or scan prefix.
-// Sub-epoch-tagged keys make late inserts from an in-flight old-epoch
-// query invisible to queries running after an invalidation, and leave a
-// publish that touched other scopes unable to cold this entry: its
-// sub-epoch — and therefore its key — is unchanged.
-std::string ReadCacheKey(char kind, uint64_t epoch, std::string_view table,
-                         uint64_t partition, std::string_view row) {
-  std::string out;
-  out.reserve(2 + 8 + table.size() + 8 + row.size());
-  out.push_back(kind);
-  AppendOrdered64(&out, epoch);
-  out.append(table);
-  out.push_back('\0');
-  AppendOrdered64(&out, partition);
-  out.append(row);
-  return out;
-}
-
-// Inverse of AppendOrdered64 for the cache-key sweep.
-uint64_t ReadOrdered64At(const std::string& s, size_t pos) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<uint8_t>(s[pos + i]);
-  }
-  return v;
+// Lock shards of a cache tier: one per 64 KiB of budget, at most 16. A
+// shard admits no entry larger than its slice of the budget, so a small
+// budget split 16 ways would reject entries that fit in the whole of it.
+size_t ShardsFor(size_t budget_bytes) {
+  return std::clamp<size_t>(budget_bytes / (64u << 10), 1, 16);
 }
 
 // Approximate heap footprint of a cache entry, for byte-budget eviction.
 // SharedValue entries charge their viewed size: the window is what the
 // cache logically holds (the shared owner is charged where it lives).
-size_t CacheCharge(const std::string& key, const SharedValue& value) {
-  return key.size() + value.size() + 64;
+size_t CacheCharge(const CacheKey& key, const SharedValue& value) {
+  return key.Bytes() + value.size() + 64;
 }
 
 // -- decoded tier ----------------------------------------------------------
 
-// Kind byte of each decoded type (the first byte of its cache key), so two
-// types can never alias under one key and a cached object is always cast
-// back to the type that produced it. Beyond the per-row kinds there are two
-// aggregate kinds: 'C' caches the decoded rows of one whole scan prefix
-// (TGIQueryManager::DecodedScan) and 'V' a node's merged version chain
-// (TGIQueryManager::MergedVersionChain).
+// Cache kind of each per-row decoded type. The aggregate kinds
+// (kDecodedScan, kVersionChain) have one producer each and need no mapping.
 template <typename T>
 struct DecodedKindOf;
 template <>
 struct DecodedKindOf<Delta> {
-  static constexpr char kKind = 'd';
+  static constexpr CacheKind kKind = CacheKind::kDelta;
 };
 template <>
 struct DecodedKindOf<EventList> {
-  static constexpr char kKind = 'e';
+  static constexpr CacheKind kKind = CacheKind::kEventList;
 };
-constexpr char kDecodedScanKind = 'C';
-constexpr char kVersionChainKind = 'V';
 
 // Decoded heap footprint estimates for byte-budget eviction. Delta and
 // EventList charge their wire size (the paper's Σ|Δ| currency, and a close
@@ -112,18 +84,18 @@ constexpr char kVersionChainKind = 'V';
 size_t DecodedCharge(const Delta& d) { return d.SerializedSizeBytes(); }
 size_t DecodedCharge(const EventList& e) { return e.SerializedSizeBytes(); }
 
-// Decodes one raw value according to its kind byte. Returns the shared
+// Decodes one raw value according to its cache kind. Returns the shared
 // immutable object plus its eviction charge.
 Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeByKind(
-    char kind, std::string_view raw) {
+    CacheKind kind, std::string_view raw) {
   switch (kind) {
-    case DecodedKindOf<Delta>::kKind: {
+    case CacheKind::kDelta: {
       HGS_ASSIGN_OR_RETURN(Delta d, Delta::Deserialize(raw));
       size_t charge = DecodedCharge(d);
       return std::pair<std::shared_ptr<const void>, size_t>(
           std::make_shared<Delta>(std::move(d)), charge);
     }
-    case DecodedKindOf<EventList>::kKind: {
+    case CacheKind::kEventList: {
       HGS_ASSIGN_OR_RETURN(EventList e, EventList::Deserialize(raw));
       size_t charge = DecodedCharge(e);
       return std::pair<std::shared_ptr<const void>, size_t>(
@@ -169,6 +141,18 @@ void MergeEventListUpTo(Delta* acc, std::shared_ptr<const EventList>&& e,
 
 }  // namespace
 
+size_t CacheKey::Hash::operator()(const CacheKey& k) const {
+  uint64_t h = std::hash<std::string_view>{}(k.row);
+  auto mix = [&h](uint64_t v) {
+    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  };
+  mix(static_cast<uint64_t>(k.kind));
+  mix(k.sub_epoch);
+  mix(std::hash<std::string_view>{}(k.table));
+  mix(k.partition);
+  return static_cast<size_t>(h);
+}
+
 std::vector<std::pair<Timestamp, Delta>> NodeHistory::Materialize() const {
   std::vector<std::pair<Timestamp, Delta>> out;
   Delta state = initial;
@@ -182,18 +166,16 @@ std::vector<std::pair<Timestamp, Delta>> NodeHistory::Materialize() const {
 
 TGIQueryManager::TGIQueryManager(Cluster* cluster, size_t fetch_parallelism,
                                  size_t read_cache_bytes,
-                                 size_t read_cache_shards,
-                                 size_t decoded_cache_bytes,
-                                 bool tinylfu_admission)
+                                 size_t decoded_cache_bytes)
     : cluster_(cluster),
       fetch_parallelism_(fetch_parallelism == 0 ? 1 : fetch_parallelism) {
   if (read_cache_bytes > 0) {
-    read_cache_ = std::make_unique<ReadCache>(
-        read_cache_bytes, read_cache_shards, tinylfu_admission);
+    read_cache_ = std::make_unique<ReadCache>(read_cache_bytes,
+                                              ShardsFor(read_cache_bytes));
   }
   if (decoded_cache_bytes > 0) {
     decoded_cache_ = std::make_unique<DecodedCache>(
-        decoded_cache_bytes, read_cache_shards, tinylfu_admission);
+        decoded_cache_bytes, ShardsFor(decoded_cache_bytes));
   }
 }
 
@@ -303,21 +285,13 @@ Result<TGIQueryManager::MetaRef> TGIQueryManager::EnsureFresh(
       }
     }
   }
-  // Both LRU tiers key entries as kind(1) | sub-epoch(8) | table | '\0' |
-  // partition(8) | row. An entry is still valid iff its stored sub-epoch
-  // matches the scope's sub-epoch under the new map; everything else is
+  // An entry of either LRU tier is still valid iff its key's sub-epoch
+  // matches its scope's sub-epoch under the new map; everything else is
   // swept. Entries from scopes a publish didn't touch keep their keys and
   // stay warm.
-  auto entry_valid = [&](const std::string& key) {
-    if (key.size() < 1 + 8 + 1 + 8) return false;
-    uint64_t entry_epoch = ReadOrdered64At(key, 1);
-    size_t tab_end = key.find('\0', 9);
-    if (tab_end == std::string::npos || tab_end + 1 + 8 > key.size()) {
-      return false;
-    }
-    std::string_view table(key.data() + 9, tab_end - 9);
-    uint64_t partition = ReadOrdered64At(key, tab_end + 1);
-    return entry_epoch == epochs->SubEpoch(MakeEpochKey(table, partition));
+  auto entry_valid = [&](const CacheKey& key) {
+    return key.sub_epoch ==
+           epochs->SubEpoch(MakeEpochKey(key.table, key.partition));
   };
   if (read_cache_ != nullptr) {
     auto swept = read_cache_->RetainIf(entry_valid);
@@ -374,56 +348,47 @@ Result<std::vector<std::optional<SharedValue>>> TGIQueryManager::FetchValues(
   if (stats != nullptr) stats->kv_requests += keys.size();
   if (keys.empty()) return out;
 
-  if (read_cache_ == nullptr) {
-    size_t batches = 0;
-    size_t copies = 0;
-    ReadCallStats call;
-    auto fetched = cluster_->MultiGet(table, keys, &batches, &copies, &call);
-    if (!fetched.ok()) return fetched.status();
-    if (stats != nullptr) {
-      stats->Merge(call);
-      stats->kv_batches += batches;
-      stats->value_copies += copies;
-    }
-    return std::move(*fetched);
-  }
-
   // Serve what we can from the partition-delta cache (including cached
   // "absent" results), then batch the misses into one MultiGet. A hit
   // hands out a view of the cached shared buffer — no bytes move.
   std::vector<size_t> miss_index;
   std::vector<MultiGetKey> misses;
-  std::vector<std::string> miss_ckeys;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    std::string ckey =
-        ReadCacheKey('G', meta.SubEpochFor(table, keys[i].partition), table,
-                     keys[i].partition, keys[i].key);
-    auto entry = read_cache_->Get(ckey);
-    if (entry.has_value()) {
-      if (stats != nullptr) ++stats->cache_hits;
-      if ((*entry)->found) out[i] = (*entry)->value;
-      continue;
+  std::vector<CacheKey> miss_ckeys;
+  if (read_cache_ != nullptr) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      CacheKey ckey = meta.Key(CacheKind::kPoint, table, keys[i].partition,
+                               keys[i].key);
+      auto entry = read_cache_->Get(ckey);
+      if (entry.has_value()) {
+        if (stats != nullptr) ++stats->cache_hits;
+        if ((*entry)->found) out[i] = (*entry)->value;
+        continue;
+      }
+      if (stats != nullptr) ++stats->cache_misses;
+      miss_index.push_back(i);
+      misses.push_back(keys[i]);
+      miss_ckeys.push_back(std::move(ckey));
     }
-    if (stats != nullptr) ++stats->cache_misses;
-    miss_index.push_back(i);
-    misses.push_back(keys[i]);
-    miss_ckeys.push_back(std::move(ckey));
+    if (misses.empty()) return out;
   }
-  if (misses.empty()) return out;
 
+  // The call's resilience work is folded in before its status is looked
+  // at, so a failed query still reports the retries it ran.
   size_t batches = 0;
   size_t copies = 0;
   ReadCallStats call;
-  auto fetched = cluster_->MultiGet(table, misses, &batches, &copies, &call);
-  if (!fetched.ok()) return fetched.status();
+  auto fetched = cluster_->MultiGet(
+      table, read_cache_ != nullptr ? misses : keys, &batches, &copies, &call);
   if (stats != nullptr) {
     stats->Merge(call);
     stats->kv_batches += batches;
     stats->value_copies += copies;
   }
+  if (!fetched.ok()) return fetched.status();
+  if (read_cache_ == nullptr) return std::move(*fetched);
   for (size_t j = 0; j < misses.size(); ++j) {
     std::optional<SharedValue>& value = (*fetched)[j];
-    std::string& ckey = miss_ckeys[j];
+    CacheKey& ckey = miss_ckeys[j];
     auto entry = std::make_shared<ReadCacheEntry>();
     entry->found = value.has_value();
     if (value.has_value()) entry->value = *value;  // shares the buffer
@@ -453,10 +418,9 @@ TGIQueryManager::CachedScan(const MetaState& meta, std::string_view table,
                             uint64_t partition, std::string_view prefix,
                             FetchStats* stats) {
   if (stats != nullptr) ++stats->kv_requests;
-  std::string ckey;
+  CacheKey ckey;
   if (read_cache_ != nullptr) {
-    ckey = ReadCacheKey('S', meta.SubEpochFor(table, partition), table,
-                        partition, prefix);
+    ckey = meta.Key(CacheKind::kScan, table, partition, prefix);
     auto entry = read_cache_->Get(ckey);
     if (entry.has_value()) {
       if (stats != nullptr) ++stats->cache_hits;
@@ -467,16 +431,16 @@ TGIQueryManager::CachedScan(const MetaState& meta, std::string_view table,
   size_t copies = 0;
   ReadCallStats call;
   auto res = cluster_->Scan(table, partition, prefix, &copies, &call);
-  if (!res.ok()) return res.status();
   if (stats != nullptr) {
     stats->Merge(call);
     ++stats->kv_batches;
     stats->value_copies += copies;
   }
+  if (!res.ok()) return res.status();
   auto entry = std::make_shared<ReadCacheEntry>();
   entry->pairs = std::move(*res);
   if (read_cache_ != nullptr) {
-    size_t charge = ckey.size() + 64;
+    size_t charge = ckey.Bytes() + 64;
     for (const KVPair& kv : entry->pairs) {
       charge += kv.key.size() + kv.value.size() + 32;
     }
@@ -489,7 +453,7 @@ Result<std::vector<TGIQueryManager::DecodedEntry>>
 TGIQueryManager::FetchDecodedRows(const MetaState& meta,
                                   std::string_view table,
                                   const std::vector<MultiGetKey>& keys,
-                                  const std::vector<char>& kinds,
+                                  const std::vector<CacheKind>& kinds,
                                   FetchStats* stats) {
   std::vector<DecodedEntry> out(keys.size());
   if (keys.empty()) return out;
@@ -498,12 +462,10 @@ TGIQueryManager::FetchDecodedRows(const MetaState& meta,
   // decode, so it skips the byte-cache/MultiGet machinery entirely.
   std::vector<size_t> miss_index;
   std::vector<MultiGetKey> miss_keys;
-  std::vector<std::string> miss_ckeys;
+  std::vector<CacheKey> miss_ckeys;
   if (decoded_cache_ != nullptr) {
     for (size_t i = 0; i < keys.size(); ++i) {
-      std::string ckey = ReadCacheKey(
-          kinds[i], meta.SubEpochFor(table, keys[i].partition), table,
-          keys[i].partition, keys[i].key);
+      CacheKey ckey = meta.Key(kinds[i], table, keys[i].partition, keys[i].key);
       auto hit = decoded_cache_->Get(ckey);
       if (hit.has_value()) {
         if (stats != nullptr) {
@@ -544,7 +506,7 @@ TGIQueryManager::FetchDecodedRows(const MetaState& meta,
         if (!values[j].has_value()) {
           // Negative entry: the row's absence is knowledge too.
           if (decoded_cache_ != nullptr) {
-            size_t charge = miss_ckeys[j].size() + 64;
+            size_t charge = miss_ckeys[j].Bytes() + 64;
             decoded_cache_->Put(std::move(miss_ckeys[j]), DecodedEntry{},
                                 charge);
           }
@@ -558,8 +520,8 @@ TGIQueryManager::FetchDecodedRows(const MetaState& meta,
         local->bytes += raw.size();
         out[i] = DecodedEntry{std::move(decoded.first), raw.size()};
         if (decoded_cache_ != nullptr) {
-          std::string& ckey = miss_ckeys[j];
-          size_t charge = ckey.size() + decoded.second + 64;
+          CacheKey& ckey = miss_ckeys[j];
+          size_t charge = ckey.Bytes() + decoded.second + 64;
           decoded_cache_->Put(std::move(ckey), out[i], charge);
         }
         return Status::OK();
@@ -573,7 +535,7 @@ TGIQueryManager::FetchDecodedValues(const MetaState& meta,
                                     std::string_view table,
                                     const std::vector<MultiGetKey>& keys,
                                     FetchStats* stats) {
-  std::vector<char> kinds(keys.size(), DecodedKindOf<T>::kKind);
+  std::vector<CacheKind> kinds(keys.size(), DecodedKindOf<T>::kKind);
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
                        FetchDecodedRows(meta, table, keys, kinds, stats));
   std::vector<std::shared_ptr<const T>> out(rows.size());
@@ -591,11 +553,9 @@ Result<std::shared_ptr<const T>> TGIQueryManager::DecodeShared(
     ++stats->micro_deltas;
     stats->bytes += raw.size();
   }
-  std::string ckey;
+  CacheKey ckey;
   if (decoded_cache_ != nullptr) {
-    ckey = ReadCacheKey(DecodedKindOf<T>::kKind,
-                        meta.SubEpochFor(table, partition), table, partition,
-                        row);
+    ckey = meta.Key(DecodedKindOf<T>::kKind, table, partition, row);
     auto hit = decoded_cache_->Get(ckey);
     if (hit.has_value() && hit->obj != nullptr) {
       if (stats != nullptr) ++stats->decode_hits;
@@ -609,7 +569,7 @@ Result<std::shared_ptr<const T>> TGIQueryManager::DecodeShared(
     stats->decoded_bytes += raw.size();
   }
   if (decoded_cache_ != nullptr) {
-    size_t charge = ckey.size() + decoded.second + 64;
+    size_t charge = ckey.Bytes() + decoded.second + 64;
     decoded_cache_->Put(std::move(ckey),
                         DecodedEntry{decoded.first, raw.size()}, charge);
   }
@@ -618,11 +578,10 @@ Result<std::shared_ptr<const T>> TGIQueryManager::DecodeShared(
 
 Result<TGIQueryManager::DecodedScanRef> TGIQueryManager::FetchDecodedScan(
     const MetaState& meta, std::string_view table, uint64_t partition,
-    std::string_view prefix, char row_kind, FetchStats* stats) {
-  std::string ckey;
+    std::string_view prefix, CacheKind row_kind, FetchStats* stats) {
+  CacheKey ckey;
   if (decoded_cache_ != nullptr) {
-    ckey = ReadCacheKey(kDecodedScanKind, meta.SubEpochFor(table, partition),
-                        table, partition, prefix);
+    ckey = meta.Key(CacheKind::kDecodedScan, table, partition, prefix);
     auto hit = decoded_cache_->Get(ckey);
     if (hit.has_value() && hit->obj != nullptr) {
       auto scan =
@@ -651,7 +610,7 @@ Result<TGIQueryManager::DecodedScanRef> TGIQueryManager::FetchDecodedScan(
   size_t total_raw = 0;
   for (const KVPair& kv : res->pairs) {
     std::shared_ptr<const void> obj;
-    if (row_kind == DecodedKindOf<Delta>::kKind) {
+    if (row_kind == CacheKind::kDelta) {
       HGS_ASSIGN_OR_RETURN(std::shared_ptr<const Delta> d,
                            DecodeShared<Delta>(meta, table, partition, kv.key,
                                                kv.value, stats));
@@ -664,7 +623,7 @@ Result<TGIQueryManager::DecodedScanRef> TGIQueryManager::FetchDecodedScan(
       obj = std::move(e);
     }
     total_raw += kv.value.size();
-    scan->rows.push_back(DecodedScanRow{std::move(obj), kv.value.size()});
+    scan->rows.push_back(DecodedEntry{std::move(obj), kv.value.size()});
   }
   if (decoded_cache_ != nullptr) {
     // Charged at the full row-byte sum even though the row-level entries
@@ -673,7 +632,7 @@ Result<TGIQueryManager::DecodedScanRef> TGIQueryManager::FetchDecodedScan(
     // the objects' sole in-cache owner — the full charge is the honest
     // steady-state accounting (the overlap is transient, and the safe
     // direction is over- rather than under-charging the budget).
-    size_t charge = ckey.size() + 64;
+    size_t charge = ckey.Bytes() + 64;
     for (const KVPair& kv : res->pairs) charge += kv.value.size() + 32;
     decoded_cache_->Put(std::move(ckey), DecodedEntry{scan, total_raw},
                         charge);
@@ -689,14 +648,13 @@ TGIQueryManager::FetchVersionChains(const MetaState& meta,
 
   // Probe the decoded tier per node first: a warm node — hub or not —
   // costs exactly one probe and no scan.
-  std::vector<std::string> ckeys(ids.size());
+  std::vector<CacheKey> ckeys(ids.size());
   std::vector<bool> hit_of(ids.size(), false);
   for (size_t u = 0; u < ids.size(); ++u) {
     if (decoded_cache_ != nullptr) {
-      const uint64_t part = tgi::NodePlacement(ids[u]);
-      ckeys[u] = ReadCacheKey(
-          kVersionChainKind, meta.SubEpochFor(tgi::kVersionsTable, part),
-          tgi::kVersionsTable, part, tgi::VersionScanPrefix(ids[u]));
+      ckeys[u] = meta.Key(CacheKind::kVersionChain, tgi::kVersionsTable,
+                          tgi::NodePlacement(ids[u]),
+                          tgi::VersionScanPrefix(ids[u]));
       auto hit = decoded_cache_->Get(ckeys[u]);
       if (hit.has_value() && hit->obj != nullptr) {
         out[u] = std::static_pointer_cast<const MergedVersionChain>(
@@ -782,7 +740,7 @@ TGIQueryManager::FetchVersionChains(const MetaState& meta,
                               seg.entries.end());
       }
       if (decoded_cache_ != nullptr) {
-        size_t charge = ckeys[u].size() + 48 +
+        size_t charge = ckeys[u].Bytes() + 48 +
                         chain->entries.size() * sizeof(tgi::VersionEntry) +
                         64;
         decoded_cache_->Put(std::move(ckeys[u]),
@@ -895,7 +853,7 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
   if (order == ClusteringOrder::kPartitionMajor) {
     // Every (did, pid) row rides one decode-first batched fetch.
     std::vector<MultiGetKey> keys;
-    std::vector<char> kinds;
+    std::vector<CacheKind> kinds;
     keys.reserve(nd * span->num_micro_partitions);
     kinds.reserve(nd * span->num_micro_partitions);
     for (size_t i = 0; i < nd; ++i) {
@@ -905,8 +863,7 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
         keys.push_back(
             MultiGetKey{tgi::DeltaPlacement(span->tsid, sid, ns),
                         tgi::DeltaRowKey(order, dids[i], pid, false)});
-        kinds.push_back(is_evl[i] ? DecodedKindOf<EventList>::kKind
-                                  : DecodedKindOf<Delta>::kKind);
+        kinds.push_back(is_evl[i] ? CacheKind::kEventList : CacheKind::kDelta);
       }
     }
     HGS_ASSIGN_OR_RETURN(
@@ -947,16 +904,15 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
           const Unit& u = units[uidx];
           const uint64_t placement =
               tgi::DeltaPlacement(span->tsid, u.sid, ns);
-          const char kind = is_evl[u.slot]
-                                ? DecodedKindOf<EventList>::kKind
-                                : DecodedKindOf<Delta>::kKind;
+          const CacheKind kind =
+              is_evl[u.slot] ? CacheKind::kEventList : CacheKind::kDelta;
           HGS_ASSIGN_OR_RETURN(
               DecodedScanRef scan,
               FetchDecodedScan(meta, tgi::kDeltasTable, placement,
                                tgi::DeltaScanPrefix(dids[u.slot]), kind,
                                local));
           MutexLock lock(slot_mu[u.slot]);
-          for (const DecodedScanRow& row : scan->rows) {
+          for (const DecodedEntry& row : scan->rows) {
             if (!is_evl[u.slot]) {
               slot_deltas[u.slot].push_back(
                   std::static_pointer_cast<const Delta>(row.obj));
@@ -1040,9 +996,9 @@ Result<std::vector<Graph>> TGIQueryManager::GetMultipointSnapshots(
             auto res = FetchDecodedScan(
                 meta, tgi::kDeltasTable, placement,
                 tgi::DeltaScanPrefix(tgi::EventlistDid(static_cast<size_t>(j))),
-                DecodedKindOf<EventList>::kKind, stats);
+                CacheKind::kEventList, stats);
             if (!res.ok()) return res.status();
-            for (const DecodedScanRow& row : (*res)->rows) {
+            for (const DecodedEntry& row : (*res)->rows) {
               evls.push_back(
                   std::static_pointer_cast<const EventList>(row.obj));
             }
@@ -1147,8 +1103,7 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
   }
   const size_t nd = dids.size();
   auto kind_of = [&](size_t i) {
-    return is_evl[i] ? DecodedKindOf<EventList>::kKind
-                     : DecodedKindOf<Delta>::kKind;
+    return is_evl[i] ? CacheKind::kEventList : CacheKind::kDelta;
   };
 
   // Decoded values per (pid, did): regular row + optional aux replication
@@ -1204,7 +1159,7 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
         }));
     if (include_aux) {
       std::vector<MultiGetKey> keys;
-      std::vector<char> kinds;
+      std::vector<CacheKind> kinds;
       keys.reserve(pids.size() * nd);
       kinds.reserve(pids.size() * nd);
       for (size_t p = 0; p < pids.size(); ++p) {
@@ -1227,7 +1182,7 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
     // request covers the regular and aux rows of all requested
     // micro-partitions; decoded hits never touch the byte tier.
     std::vector<MultiGetKey> keys;
-    std::vector<char> kinds;
+    std::vector<CacheKind> kinds;
     keys.reserve(pids.size() * nd * (include_aux ? 2 : 1));
     kinds.reserve(keys.capacity());
     // Regular rows for every (pid, did), then — when replication is on —
@@ -1767,8 +1722,8 @@ Result<std::vector<Event>> TGIQueryManager::GetEventsInRange(
               FetchDecodedScan(meta, tgi::kDeltasTable, placement,
                                tgi::DeltaScanPrefix(tgi::EventlistDid(
                                    u.eventlist_index)),
-                               DecodedKindOf<EventList>::kKind, local));
-          for (const DecodedScanRow& row : res->rows) {
+                               CacheKind::kEventList, local));
+          for (const DecodedEntry& row : res->rows) {
             collect(*std::static_pointer_cast<const EventList>(row.obj));
           }
         } else {

@@ -21,10 +21,11 @@
 // trip per storage node instead of one per key); partition scans run on
 // `fetch_parallelism` concurrent clients (the paper's c). Both kinds of
 // read pass through a sharded LRU partition-delta cache, so overlapping
-// retrievals skip the simulated fetch round trips entirely. Cache keys
-// embed the sub-epoch of their (table, partition) scope. When AppendBatch
-// re-publishes some scopes, the next query's refresh evicts only entries of
-// those scopes; every other scope's entries stay warm.
+// retrievals skip the simulated fetch round trips entirely. Both cache
+// tiers key entries by one typed CacheKey that carries the sub-epoch of its
+// (table, partition) scope. When AppendBatch re-publishes some scopes, the
+// next query's refresh evicts only entries of those scopes; every other
+// scope's entries stay warm.
 
 #ifndef HGS_TGI_QUERY_H_
 #define HGS_TGI_QUERY_H_
@@ -33,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -127,6 +129,42 @@ struct FetchStats {
 #undef HGS_ADD_COUNTER
 };
 
+/// What a read-cache entry holds. Part of its key, so two kinds of object
+/// never alias under one set of coordinates, and an entry's object is
+/// always cast back to the type that produced it.
+enum class CacheKind : uint8_t {
+  kPoint,         ///< byte tier: one point-read value, or its absence
+  kScan,          ///< byte tier: the pairs of one partition prefix scan
+  kDelta,         ///< decoded tier: one Delta row
+  kEventList,     ///< decoded tier: one EventList row
+  kDecodedScan,   ///< decoded tier: every decoded row of one scan prefix
+  kVersionChain,  ///< decoded tier: one node's merged version chain
+};
+
+/// Key of one entry in either read-cache tier: the (table, partition, row)
+/// coordinates of a row or scan prefix, tagged with the sub-epoch of its
+/// (table, partition) scope under the epoch map the filling query pinned.
+/// A late insert from an old-epoch query is therefore invisible to queries
+/// at newer epochs, and a publish that touched other scopes leaves the key
+/// valid.
+struct CacheKey {
+  CacheKind kind = CacheKind::kPoint;
+  uint64_t sub_epoch = 0;
+  std::string_view table;  ///< a tgi::k*Table constant (static storage)
+  uint64_t partition = 0;
+  std::string row;  ///< row key, or scan prefix
+
+  bool operator==(const CacheKey&) const = default;
+
+  /// The key's share of an entry's byte charge: the packed width of its
+  /// fields (kind, sub-epoch, table, separator, partition, row).
+  size_t Bytes() const { return 18 + table.size() + row.size(); }
+
+  struct Hash {
+    size_t operator()(const CacheKey& k) const;
+  };
+};
+
 /// A node's evolution over (from, to]: its state at `from` plus every event
 /// touching it afterwards. This is also the wire format TAF's NodeT wraps.
 struct NodeHistory {
@@ -157,13 +195,12 @@ class TGIQueryManager {
   /// `decoded_cache_bytes` the decoded-object cache budget (0 disables
   /// either tier; TGI::OpenQueryManager passes the TGIOptions knobs). The
   /// two tiers are independent: bytes serve re-fetches without round trips,
-  /// decoded objects serve repeats without deserialization.
-  /// `tinylfu_admission` enables the TinyLFU admission filter on both tiers.
+  /// decoded objects serve repeats without deserialization. Each tier
+  /// splits its budget into one lock shard per 64 KiB, at most 16, so a
+  /// small budget still admits entries that fit in the whole of it.
   explicit TGIQueryManager(Cluster* cluster, size_t fetch_parallelism = 1,
                            size_t read_cache_bytes = 0,
-                           size_t read_cache_shards = 16,
-                           size_t decoded_cache_bytes = 0,
-                           bool tinylfu_admission = false);
+                           size_t decoded_cache_bytes = 0);
 
   /// Loads graph + timespan metadata. Metadata and the read cache refresh
   /// automatically when the cluster's publish epoch changes (AppendBatch).
@@ -281,42 +318,38 @@ class TGIQueryManager {
     std::vector<KVPair> pairs;   ///< scan payload (zero-copy views)
   };
   using ReadCache =
-      ShardedLruCache<std::string, std::shared_ptr<const ReadCacheEntry>>;
+      ShardedLruCache<CacheKey, std::shared_ptr<const ReadCacheEntry>,
+                      CacheKey::Hash>;
 
   /// One decoded-tier entry: an immutable decoded object shared between the
   /// cache and every in-flight query that fetched it (nullptr caches a
   /// known-absent row), plus the raw byte size it was decoded from so the
   /// logical byte accounting is identical between decode hits and misses.
-  /// The concrete type behind `obj` is fixed by the kind byte of the cache
+  /// The concrete type behind `obj` is fixed by the CacheKind of the cache
   /// key (one kind per decoded type), so a cast back can never mismatch.
   struct DecodedEntry {
     std::shared_ptr<const void> obj;
     size_t raw_bytes = 0;
   };
-  using DecodedCache = ShardedLruCache<std::string, DecodedEntry>;
+  using DecodedCache = ShardedLruCache<CacheKey, DecodedEntry, CacheKey::Hash>;
 
-  /// One row of a scan-granularity decoded entry: the shared decoded object
-  /// plus the raw size it decoded from (for the logical byte accounting).
-  struct DecodedScanRow {
-    std::shared_ptr<const void> obj;
-    size_t raw_bytes = 0;
-  };
-  /// Scan-granularity decoded entry (cache kind 'C'): every decoded row of
-  /// one (table, partition, prefix) scan, in key order. A warm delta-major
-  /// scan costs exactly one decoded-tier probe for the whole prefix instead
-  /// of one byte-cache probe plus one decoded probe per row. The row type
-  /// (Delta vs EventList) is fixed by the scan prefix's did, so a single
-  /// kind byte cannot alias two row types under one key.
+  /// Scan-granularity decoded entry (CacheKind::kDecodedScan): every decoded
+  /// row of one (table, partition, prefix) scan, in key order. A warm
+  /// delta-major scan costs exactly one decoded-tier probe for the whole
+  /// prefix instead of one byte-cache probe plus one decoded probe per row.
+  /// The row type (Delta vs EventList) is fixed by the scan prefix's did, so
+  /// one kind cannot alias two row types under one key.
   struct DecodedScan {
-    std::vector<DecodedScanRow> rows;
+    std::vector<DecodedEntry> rows;
   };
   using DecodedScanRef = std::shared_ptr<const DecodedScan>;
 
-  /// Per-node merged version chain (cache kind 'V'): the concatenation of
-  /// every VersionChainSegment of one node, in chain (tsid) order and
-  /// unfiltered by time, so hub nodes with many segments cost one decoded
-  /// entry — and one probe — instead of one per segment. segment_count and
-  /// raw_bytes carry the logical accounting a rebuild would have reported.
+  /// Per-node merged version chain (CacheKind::kVersionChain): the
+  /// concatenation of every VersionChainSegment of one node, in chain (tsid)
+  /// order and unfiltered by time, so hub nodes with many segments cost one
+  /// decoded entry — and one probe — instead of one per segment.
+  /// segment_count and raw_bytes carry the logical accounting a rebuild
+  /// would have reported.
   struct MergedVersionChain {
     std::vector<tgi::VersionEntry> entries;
     size_t segment_count = 0;
@@ -342,6 +375,13 @@ class TGIQueryManager {
       return epochs == nullptr
                  ? epoch
                  : epochs->SubEpoch(MakeEpochKey(table, partition));
+    }
+
+    /// Cache key of `row` in (table, partition) at this snapshot's epochs.
+    CacheKey Key(CacheKind kind, std::string_view table, uint64_t partition,
+                 std::string_view row) const {
+      return CacheKey{kind, SubEpochFor(table, partition), table, partition,
+                      std::string(row)};
     }
   };
   using MetaRef = std::shared_ptr<const MetaState>;
@@ -419,12 +459,12 @@ class TGIQueryManager {
   /// decoded cache per row — a hit skips the byte fetch and the decode
   /// entirely — then fetch the missing rows' bytes in one batched
   /// FetchValues and decode each miss exactly once, in parallel. kinds[i]
-  /// is the decoded-type tag of keys[i] (see DecodedKindOf in query.cc).
+  /// is the decoded type of keys[i] (CacheKind::kDelta or kEventList).
   /// An absent row yields a null obj (and is negatively cached).
   Result<std::vector<DecodedEntry>> FetchDecodedRows(
       const MetaState& meta, std::string_view table,
-      const std::vector<MultiGetKey>& keys, const std::vector<char>& kinds,
-      FetchStats* stats);
+      const std::vector<MultiGetKey>& keys,
+      const std::vector<CacheKind>& kinds, FetchStats* stats);
 
   /// Uniform-type wrapper over FetchDecodedRows.
   template <typename T>
@@ -454,7 +494,8 @@ class TGIQueryManager {
                                           std::string_view table,
                                           uint64_t partition,
                                           std::string_view prefix,
-                                          char row_kind, FetchStats* stats);
+                                          CacheKind row_kind,
+                                          FetchStats* stats);
 
   /// Per-node merged version chains for `ids` (see MergedVersionChain):
   /// probes the decoded tier per node, scans only the versions partitions
@@ -486,9 +527,9 @@ class TGIQueryManager {
   MetaRef meta_ GUARDED_BY(meta_mu_);
 
   /// Partition-delta cache over point reads and scans of the immutable
-  /// index tables, keyed by (kind, epoch, table, partition, row key).
+  /// index tables (CacheKind::kPoint and kScan keys).
   std::unique_ptr<ReadCache> read_cache_;
-  /// Decoded-object cache over the same coordinates (distinct kind bytes),
+  /// Decoded-object cache over the same coordinates (the decoded kinds),
   /// holding immutable shared Delta / EventList / VersionChainSegment
   /// values charged by their decoded footprint.
   std::unique_ptr<DecodedCache> decoded_cache_;

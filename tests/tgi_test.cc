@@ -197,10 +197,17 @@ TEST(BuilderTest, TracksCurrentState) {
 
 // ---------------------------------------------------------------------------
 // The core invariant, swept across configurations.
-// Params: (strategy, clustering order, replicate, horizontal partitions).
+// Params: (strategy, clustering order, replicate, horizontal partitions,
+// read-cache budgets).
 // ---------------------------------------------------------------------------
 
-using ConfigParam = std::tuple<PartitionStrategy, ClusteringOrder, bool, int>;
+// Budgets of both read-cache tiers: the TGIOptions defaults, both tiers
+// off, or both at 32 KiB, far below the working set, so entries are
+// admitted and evicted continuously while the primitives run.
+enum class CacheBudget { kDefault, kOff, kEvicting };
+
+using ConfigParam =
+    std::tuple<PartitionStrategy, ClusteringOrder, bool, int, CacheBudget>;
 
 class TGIConfigTest : public ::testing::TestWithParam<ConfigParam> {
  protected:
@@ -211,6 +218,18 @@ class TGIConfigTest : public ::testing::TestWithParam<ConfigParam> {
     opts.replicate_one_hop = std::get<2>(GetParam());
     opts.num_horizontal_partitions =
         static_cast<size_t>(std::get<3>(GetParam()));
+    switch (std::get<4>(GetParam())) {
+      case CacheBudget::kDefault:
+        break;
+      case CacheBudget::kOff:
+        opts.read_cache_bytes = 0;
+        opts.decoded_cache_bytes = 0;
+        break;
+      case CacheBudget::kEvicting:
+        opts.read_cache_bytes = 32u << 10;
+        opts.decoded_cache_bytes = 32u << 10;
+        break;
+    }
     return opts;
   }
 };
@@ -492,17 +511,36 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, TGIConfigTest,
     ::testing::Values(
         ConfigParam{PartitionStrategy::kRandom, ClusteringOrder::kDeltaMajor,
-                    false, 2},
+                    false, 2, CacheBudget::kDefault},
         ConfigParam{PartitionStrategy::kRandom,
-                    ClusteringOrder::kPartitionMajor, false, 2},
+                    ClusteringOrder::kPartitionMajor, false, 2,
+                    CacheBudget::kDefault},
         ConfigParam{PartitionStrategy::kLocality, ClusteringOrder::kDeltaMajor,
-                    false, 2},
+                    false, 2, CacheBudget::kDefault},
         ConfigParam{PartitionStrategy::kRandom, ClusteringOrder::kDeltaMajor,
-                    true, 2},
+                    true, 2, CacheBudget::kDefault},
         ConfigParam{PartitionStrategy::kLocality,
-                    ClusteringOrder::kDeltaMajor, true, 3},
+                    ClusteringOrder::kDeltaMajor, true, 3,
+                    CacheBudget::kDefault},
         ConfigParam{PartitionStrategy::kRandom, ClusteringOrder::kDeltaMajor,
-                    false, 1}));
+                    false, 1, CacheBudget::kDefault},
+        // The cache-budget axis over one delta-major, one partition-major
+        // and one locality config.
+        ConfigParam{PartitionStrategy::kRandom, ClusteringOrder::kDeltaMajor,
+                    false, 2, CacheBudget::kOff},
+        ConfigParam{PartitionStrategy::kRandom, ClusteringOrder::kDeltaMajor,
+                    false, 2, CacheBudget::kEvicting},
+        ConfigParam{PartitionStrategy::kRandom,
+                    ClusteringOrder::kPartitionMajor, false, 2,
+                    CacheBudget::kOff},
+        ConfigParam{PartitionStrategy::kRandom,
+                    ClusteringOrder::kPartitionMajor, false, 2,
+                    CacheBudget::kEvicting},
+        ConfigParam{PartitionStrategy::kLocality,
+                    ClusteringOrder::kDeltaMajor, true, 3, CacheBudget::kOff},
+        ConfigParam{PartitionStrategy::kLocality,
+                    ClusteringOrder::kDeltaMajor, true, 3,
+                    CacheBudget::kEvicting}));
 
 // ---------------------------------------------------------------------------
 // Targeted behaviors beyond the core invariant.
@@ -771,7 +809,6 @@ TEST(TGITest, DecodedTierWorksWithoutByteCache) {
   auto events = SmallHistory(72, 5'000);
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
   TGIQueryManager qm(&cluster, 2, /*read_cache_bytes=*/0,
-                     /*read_cache_shards=*/16,
                      /*decoded_cache_bytes=*/16u << 20);
   ASSERT_TRUE(qm.Open().ok());
 
@@ -828,7 +865,6 @@ TEST(TGITest, DecodedCacheEvictsUnderByteBudgetPressure) {
   // A budget far below the working set: entries must be admitted and
   // evicted continuously, with results unaffected.
   TGIQueryManager qm(&cluster, 2, /*read_cache_bytes=*/0,
-                     /*read_cache_shards=*/2,
                      /*decoded_cache_bytes=*/8u << 10);
   ASSERT_TRUE(qm.Open().ok());
   Timestamp t = workload::EndTime(events);
@@ -842,6 +878,36 @@ TEST(TGITest, DecodedCacheEvictsUnderByteBudgetPressure) {
   EXPECT_GT(counters.insertions, 0u);
   EXPECT_GT(counters.evictions, 0u);
   EXPECT_LE(counters.bytes_used, 8u << 10);
+}
+
+// Each tier derives its lock-shard count from its own budget. A 128 KiB
+// decoded tier holds this snapshot's whole working set, so a repeat is
+// served entirely warm; split 16 ways, the same budget would admit no entry
+// above 8 KiB and re-fetch and re-decode those rows on every repeat.
+TEST(TGITest, SmallDecodedBudgetServesWholeWorkingSetWarm) {
+  Cluster cluster(FastCluster());
+  TGIOptions opts = SmallOptions();
+  opts.read_cache_bytes = 0;
+  opts.decoded_cache_bytes = 128u << 10;
+  TGI tgi(&cluster, opts);
+  auto events = SmallHistory(72, 6'000);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm = tgi.OpenQueryManager(1).value();
+
+  const Timestamp t = workload::EndTime(events);
+  FetchStats cold;
+  auto first = qm->GetSnapshotDelta(t, &cold);
+  ASSERT_TRUE(first.ok());
+  EXPECT_GT(cold.decodes, 0u);
+  FetchStats warm;
+  auto second = qm->GetSnapshotDelta(t, &warm);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(warm.decodes, 0u);
+  EXPECT_EQ(warm.kv_batches, 0u);
+  EXPECT_TRUE(second->ToGraph() == workload::ReplayToGraph(events, t));
+  LruCacheCounters counters = qm->DecodedCacheCounters();
+  EXPECT_EQ(counters.evictions, 0u);
+  EXPECT_LE(counters.bytes_used, 128u << 10);
 }
 
 TEST(TGITest, NodeHistoryCacheInvalidatedByAppendBatch) {
@@ -1223,6 +1289,56 @@ TEST(TGIQueryManagerTest, ResilienceCountersReachFetchStats) {
       return qm->GetOneHopHistory(hub, 0, end, s).status();
     });
     EXPECT_GT(exercised, 0u);  // the faults really fired
+  }
+}
+
+// A read whose every replica fails fails its query, yet the retries and
+// failovers the cluster client ran for it must still reach the query's
+// FetchStats. Covers the scan path (delta-major) and the batched point-read
+// path (partition-major), each with the cache tiers off and on.
+TEST(TGIQueryManagerTest, FailedReadStillReportsResilienceCounters) {
+  auto events = SmallHistory(61, 4'000);
+  const Timestamp end = workload::EndTime(events);
+  for (ClusteringOrder order :
+       {ClusteringOrder::kDeltaMajor, ClusteringOrder::kPartitionMajor}) {
+    for (size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+      SCOPED_TRACE(testing::Message() << "order=" << static_cast<int>(order)
+                                      << " cache_bytes=" << cache_bytes);
+      ClusterOptions copts = FastCluster(3);
+      copts.replication = 3;
+      copts.retry_backoff_micros = 10;
+      Cluster cluster(copts);
+      TGIOptions opts = SmallOptions();
+      opts.clustering_order = order;
+      opts.read_cache_bytes = cache_bytes;
+      opts.decoded_cache_bytes = cache_bytes;
+      TGI tgi(&cluster, opts);
+      ASSERT_TRUE(tgi.BuildFrom(events).ok());
+      auto qm = tgi.OpenQueryManager(/*fetch_parallelism=*/4).value();
+
+      FaultProfile unreachable;
+      unreachable.transient_error_prob = 1.0;
+      for (size_t n = 0; n < cluster.num_nodes(); ++n) {
+        cluster.SetFaultProfile(n, unreachable);
+      }
+      auto lifetime = [&cluster] {
+        ReadCallStats out;
+#define HGS_LOAD_COUNTER(name) out.name = cluster.resilience().name.load();
+        HGS_READ_CALL_COUNTERS(HGS_LOAD_COUNTER)
+#undef HGS_LOAD_COUNTER
+        return out;
+      };
+      ReadCallStats before = lifetime();
+      FetchStats stats;
+      EXPECT_FALSE(qm->GetSnapshot(end, &stats).ok());
+      ReadCallStats after = lifetime();
+#define HGS_EXPECT_COUNTED(name) \
+  EXPECT_EQ(stats.name, after.name - before.name) << #name;
+      HGS_READ_CALL_COUNTERS(HGS_EXPECT_COUNTED)
+#undef HGS_EXPECT_COUNTED
+      EXPECT_GT(stats.retries, 0u);
+      EXPECT_GT(stats.failovers, 0u);
+    }
   }
 }
 
