@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -65,19 +66,6 @@ size_t CacheCharge(const CacheKey& key, const SharedValue& value) {
 
 // -- decoded tier ----------------------------------------------------------
 
-// Cache kind of each per-row decoded type. The aggregate kinds
-// (kDecodedScan, kVersionChain) have one producer each and need no mapping.
-template <typename T>
-struct DecodedKindOf;
-template <>
-struct DecodedKindOf<Delta> {
-  static constexpr CacheKind kKind = CacheKind::kDelta;
-};
-template <>
-struct DecodedKindOf<EventList> {
-  static constexpr CacheKind kKind = CacheKind::kEventList;
-};
-
 // Decoded heap footprint estimates for byte-budget eviction. Delta and
 // EventList charge their wire size (the paper's Σ|Δ| currency, and a close
 // proxy for the decoded maps' payload).
@@ -106,37 +94,116 @@ Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeByKind(
   }
 }
 
-// The ordered merge consumes a decoded object only when ownership is
-// statically exclusive: with the decoded cache disabled, every decode is
-// private to this query (`exclusive` below), and use_count() == 1 then
-// rules out the same object appearing twice in this query's own slot
-// lists. With the cache enabled a decoded object may be shared with a
-// concurrent query, and observing use_count() == 1 cannot prove otherwise:
-// the count is a relaxed load with no synchronizes-with edge to a releasing
-// reader, so mutating after reading 1 would race with that reader's prior
-// accesses (TSan-visible now that the flat representation moves individual
-// entries). Cache-managed objects are therefore always applied by const
-// reference. make_shared allocates the pointee as a mutable object, so the
-// const_cast on an exclusively owned value is well-defined.
-void MergeDelta(Delta* acc, std::shared_ptr<const Delta>&& d, bool exclusive) {
-  if (d == nullptr) return;
-  if (exclusive && d.use_count() == 1) {
-    acc->Add(std::move(const_cast<Delta&>(*d)));
+// Applies one decoded row of `kind` to `acc`: a Delta row is added; an
+// EventList row replays its events in (after, upto].
+//
+// The row is consumed only when ownership is statically exclusive: with
+// the decoded cache disabled, every decode is private to this query
+// (`exclusive`), and use_count() == 1 then rules out the same object
+// appearing twice in this query's own row lists. With the cache enabled a
+// decoded object may be shared with a concurrent query, and observing
+// use_count() == 1 cannot prove otherwise: the count is a relaxed load
+// with no synchronizes-with edge to a releasing reader, so mutating after
+// reading 1 would race with that reader's prior accesses (TSan-visible now
+// that the flat representation moves individual entries). Cache-managed
+// objects are therefore always applied by const reference. make_shared
+// allocates the pointee as a mutable object, so the const_cast on an
+// exclusively owned value is well-defined.
+void ApplyRow(Delta* acc, std::shared_ptr<const void>&& row, CacheKind kind,
+              Timestamp after, Timestamp upto, bool exclusive) {
+  if (row == nullptr) return;
+  const bool consume = exclusive && row.use_count() == 1;
+  if (kind == CacheKind::kDelta) {
+    const auto& d = *static_cast<const Delta*>(row.get());
+    if (consume) {
+      acc->Add(std::move(const_cast<Delta&>(d)));
+    } else {
+      acc->Add(d);
+    }
   } else {
-    acc->Add(*d);
+    const auto& e = *static_cast<const EventList*>(row.get());
+    if (consume) {
+      acc->ApplyEvents(std::move(const_cast<EventList&>(e)), after, upto);
+    } else {
+      acc->ApplyEvents(e, after, upto);
+    }
   }
-  d.reset();
+  row.reset();
 }
 
-void MergeEventListUpTo(Delta* acc, std::shared_ptr<const EventList>&& e,
-                        Timestamp t, bool exclusive) {
-  if (e == nullptr) return;
-  if (exclusive && e.use_count() == 1) {
-    std::move(const_cast<EventList&>(*e)).ApplyUpTo(t, acc);
-  } else {
-    e->ApplyUpTo(t, acc);
+// Merges eventlist rows into one chronological sequence in which each
+// stored event appears once, keeping the events in (from, to] that `keep`
+// accepts. chunks[c] holds the rows of one chunk: a consecutive slice of
+// the ingest stream, split across micro-partition rows, with an edge event
+// stored in both endpoints' rows. Chunks come in stream order, so merged
+// chunks concatenate already globally ordered. Returns the number of
+// chunks merged, each one a whole-chunk comparison sort skipped.
+template <typename Keep>
+size_t MergeEventChunks(
+    const std::vector<std::vector<const EventList*>>& chunks, Timestamp from,
+    Timestamp to, size_t parallelism, const Keep& keep,
+    std::vector<Event>* out) {
+  // Each row's kept events, picked in parallel. An eventlist is
+  // time-sorted, so every pick is chronological.
+  std::vector<std::vector<std::vector<const Event*>>> picked(chunks.size());
+  ParallelFor(chunks.size(), parallelism, [&](size_t c) {
+    picked[c].resize(chunks[c].size());
+    for (size_t r = 0; r < chunks[c].size(); ++r) {
+      for (const Event& e : chunks[c][r]->events()) {
+        if (e.time > from && e.time <= to && keep(e)) {
+          picked[c][r].push_back(&e);
+        }
+      }
+    }
+  });
+  // Within a chunk a k-way merge by time replaces the whole-chunk
+  // comparison sort. Time is EventTotalOrder's primary key, so merging by
+  // time and sorting only the runs of equal timestamps yields exactly the
+  // order the full sort would — and unique only needs to see those runs,
+  // because duplicates (an edge event arriving via both endpoints' rows)
+  // share a timestamp. A run may continue into the next chunk, so it is
+  // flushed only when a later timestamp starts.
+  struct RowCursor {
+    const Event* const* cur;
+    const Event* const* end;
+  };
+  std::vector<Event> run;
+  auto flush_run = [&run, out] {
+    std::sort(run.begin(), run.end(), EventTotalOrder);
+    run.erase(std::unique(run.begin(), run.end()), run.end());
+    for (Event& e : run) out->push_back(std::move(e));
+    run.clear();
+  };
+  size_t merged = 0;
+  std::vector<RowCursor> cursors;
+  for (const auto& rows : picked) {
+    cursors.clear();
+    for (const std::vector<const Event*>& p : rows) {
+      if (!p.empty()) cursors.push_back({p.data(), p.data() + p.size()});
+    }
+    if (!cursors.empty()) ++merged;
+    while (!cursors.empty()) {
+      Timestamp t = (*cursors[0].cur)->time;
+      for (size_t c = 1; c < cursors.size(); ++c) {
+        t = std::min(t, (*cursors[c].cur)->time);
+      }
+      if (!run.empty() && run.front().time != t) flush_run();
+      for (size_t c = 0; c < cursors.size();) {
+        RowCursor& rc = cursors[c];
+        while (rc.cur != rc.end && (*rc.cur)->time == t) {
+          run.push_back(**rc.cur);
+          ++rc.cur;
+        }
+        if (rc.cur == rc.end) {
+          cursors.erase(cursors.begin() + static_cast<ptrdiff_t>(c));
+        } else {
+          ++c;
+        }
+      }
+    }
   }
-  e.reset();
+  flush_run();
+  return merged;
 }
 
 }  // namespace
@@ -165,17 +232,16 @@ std::vector<std::pair<Timestamp, Delta>> NodeHistory::Materialize() const {
 }
 
 TGIQueryManager::TGIQueryManager(Cluster* cluster, size_t fetch_parallelism,
-                                 size_t read_cache_bytes,
-                                 size_t decoded_cache_bytes)
+                                 CacheBudgets budgets)
     : cluster_(cluster),
       fetch_parallelism_(fetch_parallelism == 0 ? 1 : fetch_parallelism) {
-  if (read_cache_bytes > 0) {
-    read_cache_ = std::make_unique<ReadCache>(read_cache_bytes,
-                                              ShardsFor(read_cache_bytes));
+  if (budgets.read_bytes > 0) {
+    read_cache_ = std::make_unique<ReadCache>(budgets.read_bytes,
+                                              ShardsFor(budgets.read_bytes));
   }
-  if (decoded_cache_bytes > 0) {
+  if (budgets.decoded_bytes > 0) {
     decoded_cache_ = std::make_unique<DecodedCache>(
-        decoded_cache_bytes, ShardsFor(decoded_cache_bytes));
+        budgets.decoded_bytes, ShardsFor(budgets.decoded_bytes));
   }
 }
 
@@ -462,7 +528,6 @@ TGIQueryManager::FetchDecodedRows(const MetaState& meta,
   // decode, so it skips the byte-cache/MultiGet machinery entirely.
   std::vector<size_t> miss_index;
   std::vector<MultiGetKey> miss_keys;
-  std::vector<CacheKey> miss_ckeys;
   if (decoded_cache_ != nullptr) {
     for (size_t i = 0; i < keys.size(); ++i) {
       CacheKey ckey = meta.Key(kinds[i], table, keys[i].partition, keys[i].key);
@@ -484,7 +549,6 @@ TGIQueryManager::FetchDecodedRows(const MetaState& meta,
       }
       miss_index.push_back(i);
       miss_keys.push_back(keys[i]);
-      miss_ckeys.push_back(std::move(ckey));
     }
     if (miss_keys.empty()) return out;
   } else {
@@ -503,77 +567,53 @@ TGIQueryManager::FetchDecodedRows(const MetaState& meta,
       miss_keys.size(), fetch_parallelism_, stats,
       [&](size_t j, FetchStats* local) -> Status {
         const size_t i = miss_index[j];
-        if (!values[j].has_value()) {
+        const MultiGetKey& key = miss_keys[j];
+        if (values[j].has_value()) {
+          HGS_ASSIGN_OR_RETURN(
+              out[i], DecodeShared(meta, kinds[i], table, key.partition,
+                                   key.key, values[j]->view(),
+                                   /*probe=*/false, local));
+        } else if (decoded_cache_ != nullptr) {
           // Negative entry: the row's absence is knowledge too.
-          if (decoded_cache_ != nullptr) {
-            size_t charge = miss_ckeys[j].Bytes() + 64;
-            decoded_cache_->Put(std::move(miss_ckeys[j]), DecodedEntry{},
-                                charge);
-          }
-          return Status::OK();
-        }
-        const std::string_view raw = values[j]->view();
-        HGS_ASSIGN_OR_RETURN(auto decoded, DecodeByKind(kinds[i], raw));
-        ++local->decodes;
-        local->decoded_bytes += raw.size();
-        ++local->micro_deltas;
-        local->bytes += raw.size();
-        out[i] = DecodedEntry{std::move(decoded.first), raw.size()};
-        if (decoded_cache_ != nullptr) {
-          CacheKey& ckey = miss_ckeys[j];
-          size_t charge = ckey.Bytes() + decoded.second + 64;
-          decoded_cache_->Put(std::move(ckey), out[i], charge);
+          CacheKey ckey = meta.Key(kinds[i], table, key.partition, key.key);
+          size_t charge = ckey.Bytes() + 64;
+          decoded_cache_->Put(std::move(ckey), DecodedEntry{}, charge);
         }
         return Status::OK();
       }));
   return out;
 }
 
-template <typename T>
-Result<std::vector<std::shared_ptr<const T>>>
-TGIQueryManager::FetchDecodedValues(const MetaState& meta,
-                                    std::string_view table,
-                                    const std::vector<MultiGetKey>& keys,
-                                    FetchStats* stats) {
-  std::vector<CacheKind> kinds(keys.size(), DecodedKindOf<T>::kKind);
-  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
-                       FetchDecodedRows(meta, table, keys, kinds, stats));
-  std::vector<std::shared_ptr<const T>> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out[i] = std::static_pointer_cast<const T>(std::move(rows[i].obj));
-  }
-  return out;
-}
-
-template <typename T>
-Result<std::shared_ptr<const T>> TGIQueryManager::DecodeShared(
-    const MetaState& meta, std::string_view table, uint64_t partition,
-    std::string_view row, std::string_view raw, FetchStats* stats) {
+Result<TGIQueryManager::DecodedEntry> TGIQueryManager::DecodeShared(
+    const MetaState& meta, CacheKind kind, std::string_view table,
+    uint64_t partition, std::string_view row, std::string_view raw,
+    bool probe, FetchStats* stats) {
   if (stats != nullptr) {
     ++stats->micro_deltas;
     stats->bytes += raw.size();
   }
   CacheKey ckey;
   if (decoded_cache_ != nullptr) {
-    ckey = meta.Key(DecodedKindOf<T>::kKind, table, partition, row);
-    auto hit = decoded_cache_->Get(ckey);
-    if (hit.has_value() && hit->obj != nullptr) {
-      if (stats != nullptr) ++stats->decode_hits;
-      return std::static_pointer_cast<const T>(std::move(hit->obj));
+    ckey = meta.Key(kind, table, partition, row);
+    if (probe) {
+      auto hit = decoded_cache_->Get(ckey);
+      if (hit.has_value() && hit->obj != nullptr) {
+        if (stats != nullptr) ++stats->decode_hits;
+        return std::move(*hit);
+      }
     }
   }
-  HGS_ASSIGN_OR_RETURN(auto decoded,
-                       DecodeByKind(DecodedKindOf<T>::kKind, raw));
+  HGS_ASSIGN_OR_RETURN(auto decoded, DecodeByKind(kind, raw));
   if (stats != nullptr) {
     ++stats->decodes;
     stats->decoded_bytes += raw.size();
   }
+  DecodedEntry entry{std::move(decoded.first), raw.size()};
   if (decoded_cache_ != nullptr) {
     size_t charge = ckey.Bytes() + decoded.second + 64;
-    decoded_cache_->Put(std::move(ckey),
-                        DecodedEntry{decoded.first, raw.size()}, charge);
+    decoded_cache_->Put(std::move(ckey), entry, charge);
   }
-  return std::static_pointer_cast<const T>(std::move(decoded.first));
+  return entry;
 }
 
 Result<TGIQueryManager::DecodedScanRef> TGIQueryManager::FetchDecodedScan(
@@ -609,21 +649,11 @@ Result<TGIQueryManager::DecodedScanRef> TGIQueryManager::FetchDecodedScan(
   scan->rows.reserve(res->pairs.size());
   size_t total_raw = 0;
   for (const KVPair& kv : res->pairs) {
-    std::shared_ptr<const void> obj;
-    if (row_kind == CacheKind::kDelta) {
-      HGS_ASSIGN_OR_RETURN(std::shared_ptr<const Delta> d,
-                           DecodeShared<Delta>(meta, table, partition, kv.key,
-                                               kv.value, stats));
-      obj = std::move(d);
-    } else {
-      HGS_ASSIGN_OR_RETURN(
-          std::shared_ptr<const EventList> e,
-          DecodeShared<EventList>(meta, table, partition, kv.key, kv.value,
-                                  stats));
-      obj = std::move(e);
-    }
+    HGS_ASSIGN_OR_RETURN(DecodedEntry row,
+                         DecodeShared(meta, row_kind, table, partition, kv.key,
+                                      kv.value, /*probe=*/true, stats));
     total_raw += kv.value.size();
-    scan->rows.push_back(DecodedEntry{std::move(obj), kv.value.size()});
+    scan->rows.push_back(std::move(row));
   }
   if (decoded_cache_ != nullptr) {
     // Charged at the full row-byte sum even though the row-level entries
@@ -752,6 +782,62 @@ TGIQueryManager::FetchVersionChains(const MetaState& meta,
   return out;
 }
 
+Result<TGIQueryManager::ChainEventlists>
+TGIQueryManager::FetchChainEventlists(
+    const MetaState& meta,
+    const std::vector<std::shared_ptr<const MergedVersionChain>>& chains,
+    Timestamp from, Timestamp to, FetchStats* stats) {
+  const size_t ns = meta.graph.num_horizontal_partitions;
+  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
+  ChainEventlists out;
+  out.refs.resize(chains.size());
+  std::vector<MultiGetKey> keys;
+  std::unordered_map<std::string, size_t> key_index;  // placement \0 row key
+  uint64_t total_refs = 0;
+  for (size_t u = 0; u < chains.size(); ++u) {
+    for (const tgi::VersionEntry& e : chains[u]->entries) {
+      if (e.last_time <= from || e.first_time > to) continue;
+      ++total_refs;
+      PartitionId sid = tgi::SidOf(e.pid, ns);
+      MultiGetKey key{
+          tgi::DeltaPlacement(e.tsid, sid, ns),
+          tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
+                           e.pid, false)};
+      std::string dedup;
+      dedup.reserve(8 + 1 + key.key.size());
+      AppendOrdered64(&dedup, key.partition);
+      dedup.push_back('\0');
+      dedup.append(key.key);
+      auto [it, inserted] = key_index.emplace(std::move(dedup), keys.size());
+      if (inserted) {
+        keys.push_back(std::move(key));
+        out.chunk.emplace_back(e.tsid, e.eventlist_index);
+      }
+      out.refs[u].push_back(it->second);
+    }
+  }
+  if (stats != nullptr) {
+    stats->eventlist_refs += total_refs;
+    stats->eventlist_fetches += keys.size();
+  }
+
+  // One decode-first batched fetch for every referenced eventlist: rows
+  // already decoded (this query or a previous one) come straight from the
+  // decoded cache; the rest ride one MultiGet and decode exactly once.
+  HGS_ASSIGN_OR_RETURN(
+      std::vector<DecodedEntry> rows,
+      FetchDecodedRows(meta, tgi::kDeltasTable, keys,
+                       std::vector<CacheKind>(keys.size(),
+                                              CacheKind::kEventList),
+                       stats));
+  out.rows.reserve(rows.size());
+  for (DecodedEntry& row : rows) {
+    out.rows.push_back(
+        std::static_pointer_cast<const EventList>(std::move(row.obj)));
+  }
+  return out;
+}
+
 Result<MicroPartitionId> TGIQueryManager::PidOf(const MetaState& meta,
                                                 NodeId id,
                                                 const tgi::TimespanMeta& span,
@@ -812,131 +898,105 @@ Result<Delta> TGIQueryManager::GetSnapshotDelta(Timestamp t,
   return GetSnapshotDeltaWith(*meta, t, stats);
 }
 
+std::vector<TGIQueryManager::Slot> TGIQueryManager::SnapshotSlots(
+    const tgi::TimespanMeta& span, Timestamp t) {
+  const int32_t cpi = std::max(span.CheckpointBefore(t), 0);
+  std::vector<Slot> slots;
+  for (DeltaId did : span.PathToCheckpoint(cpi)) {
+    slots.push_back(Slot{&span, did, CacheKind::kDelta});
+  }
+  const size_t evl_from =
+      static_cast<size_t>(cpi) * span.checkpoint_interval / span.eventlist_size;
+  AppendEventlistSlots(span, static_cast<int64_t>(evl_from),
+                       span.EventlistCovering(t), &slots);
+  return slots;
+}
+
+void TGIQueryManager::AppendEventlistSlots(const tgi::TimespanMeta& span,
+                                           int64_t first, int64_t last,
+                                           std::vector<Slot>* slots) {
+  for (int64_t j = first; j <= last; ++j) {
+    slots->push_back(Slot{&span, tgi::EventlistDid(static_cast<size_t>(j)),
+                          CacheKind::kEventList});
+  }
+}
+
+Result<TGIQueryManager::SlotRows> TGIQueryManager::FetchSlots(
+    const MetaState& meta, const std::vector<Slot>& slots, FetchStats* stats) {
+  const size_t ns = meta.graph.num_horizontal_partitions;
+  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
+  SlotRows rows(slots.size());
+  // There is no raw-byte staging anywhere on this path: partition-major rows
+  // decode straight out of the MultiGet values, delta-major rows straight
+  // out of the shared scan result, and a decoded-cache hit skips bytes
+  // entirely.
+  if (order == ClusteringOrder::kPartitionMajor) {
+    // Every (slot, pid) row rides one decode-first batched fetch.
+    std::vector<MultiGetKey> keys;
+    std::vector<CacheKind> kinds;
+    std::vector<size_t> slot_of;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const tgi::TimespanMeta& span = *slots[i].span;
+      for (MicroPartitionId pid = 0; pid < span.num_micro_partitions; ++pid) {
+        keys.push_back(MultiGetKey{
+            tgi::DeltaPlacement(span.tsid, tgi::SidOf(pid, ns), ns),
+            tgi::DeltaRowKey(order, slots[i].did, pid, false)});
+        kinds.push_back(slots[i].kind);
+        slot_of.push_back(i);
+      }
+    }
+    HGS_ASSIGN_OR_RETURN(
+        std::vector<DecodedEntry> fetched,
+        FetchDecodedRows(meta, tgi::kDeltasTable, keys, kinds, stats));
+    for (size_t k = 0; k < fetched.size(); ++k) {
+      // An absent row is an empty micro-partition.
+      if (fetched[k].obj != nullptr) {
+        rows[slot_of[k]].push_back(std::move(fetched[k].obj));
+      }
+    }
+    return rows;
+  }
+  // Delta-major: one scan-granularity decoded fetch per (slot, sid) — a
+  // warm scan is a single decoded-tier probe for the whole prefix; a cold
+  // one decodes in place from the shared scan result, in parallel (the
+  // paper's query processors "process the raw deltas" in parallel; only
+  // the ordered apply is sequential). Each task fills its own scan cell.
+  std::vector<DecodedScanRef> scans(slots.size() * ns);
+  HGS_RETURN_NOT_OK(ParallelStatusFor(
+      scans.size(), fetch_parallelism_, stats,
+      [&](size_t c, FetchStats* local) -> Status {
+        const Slot& slot = slots[c / ns];
+        const uint64_t placement = tgi::DeltaPlacement(
+            slot.span->tsid, static_cast<PartitionId>(c % ns), ns);
+        HGS_ASSIGN_OR_RETURN(
+            scans[c],
+            FetchDecodedScan(meta, tgi::kDeltasTable, placement,
+                             tgi::DeltaScanPrefix(slot.did), slot.kind, local));
+        return Status::OK();
+      }));
+  for (size_t c = 0; c < scans.size(); ++c) {
+    for (const DecodedEntry& row : scans[c]->rows) {
+      rows[c / ns].push_back(row.obj);
+    }
+    scans[c].reset();  // rows now hold the only query-side references
+  }
+  return rows;
+}
+
 Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
                                                     Timestamp t,
                                                     FetchStats* stats) {
   const tgi::TimespanMeta* span = SpanFor(meta, t);
   if (span == nullptr) return Delta();  // before all history
-
-  int32_t cpi = span->CheckpointBefore(t);
-  if (cpi < 0) cpi = 0;
-  std::vector<DeltaId> path = span->PathToCheckpoint(cpi);
-  size_t evl_from = static_cast<size_t>(cpi) * span->checkpoint_interval /
-                    span->eventlist_size;
-  int32_t evl_to = span->EventlistCovering(t);
-
-  // The merge-slot sequence: tree deltas along the path, then eventlists.
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order =
-      static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<DeltaId> dids;
-  std::vector<bool> is_evl;
-  for (DeltaId did : path) {
-    dids.push_back(did);
-    is_evl.push_back(false);
-  }
-  if (evl_to >= 0) {
-    for (size_t j = evl_from; j <= static_cast<size_t>(evl_to); ++j) {
-      dids.push_back(tgi::EventlistDid(j));
-      is_evl.push_back(true);
-    }
-  }
-  const size_t nd = dids.size();
-
-  // Decoded objects per merge slot, shared with the decoded cache. There is
-  // no raw-byte staging anywhere on this path: partition-major rows decode
-  // straight out of the MultiGet values, delta-major rows straight out of
-  // the shared scan result, and a decoded-cache hit skips bytes entirely.
-  std::vector<std::vector<std::shared_ptr<const Delta>>> slot_deltas(nd);
-  std::vector<std::vector<std::shared_ptr<const EventList>>> slot_evls(nd);
-
-  if (order == ClusteringOrder::kPartitionMajor) {
-    // Every (did, pid) row rides one decode-first batched fetch.
-    std::vector<MultiGetKey> keys;
-    std::vector<CacheKind> kinds;
-    keys.reserve(nd * span->num_micro_partitions);
-    kinds.reserve(nd * span->num_micro_partitions);
-    for (size_t i = 0; i < nd; ++i) {
-      for (MicroPartitionId pid = 0; pid < span->num_micro_partitions;
-           ++pid) {
-        PartitionId sid = tgi::SidOf(pid, ns);
-        keys.push_back(
-            MultiGetKey{tgi::DeltaPlacement(span->tsid, sid, ns),
-                        tgi::DeltaRowKey(order, dids[i], pid, false)});
-        kinds.push_back(is_evl[i] ? CacheKind::kEventList : CacheKind::kDelta);
-      }
-    }
-    HGS_ASSIGN_OR_RETURN(
-        std::vector<DecodedEntry> rows,
-        FetchDecodedRows(meta, tgi::kDeltasTable, keys, kinds, stats));
-    for (size_t k = 0; k < rows.size(); ++k) {
-      if (rows[k].obj == nullptr) continue;  // empty micro-partition
-      const size_t i = k / span->num_micro_partitions;
-      if (is_evl[i]) {
-        slot_evls[i].push_back(
-            std::static_pointer_cast<const EventList>(std::move(rows[k].obj)));
-      } else {
-        slot_deltas[i].push_back(
-            std::static_pointer_cast<const Delta>(std::move(rows[k].obj)));
-      }
-    }
-  } else {
-    // Delta-major: one scan-granularity decoded fetch per (did, sid) — a
-    // warm scan is a single decoded-tier probe for the whole prefix; a cold
-    // one decodes in place from the shared scan result, in parallel (the
-    // paper's query processors "process the raw deltas" in parallel; only
-    // the ordered merge below is sequential).
-    struct Unit {
-      size_t slot;
-      PartitionId sid;
-    };
-    std::vector<Unit> units;
-    units.reserve(nd * ns);
-    for (size_t i = 0; i < nd; ++i) {
-      for (size_t sid = 0; sid < ns; ++sid) {
-        units.push_back(Unit{i, static_cast<PartitionId>(sid)});
-      }
-    }
-    std::vector<Mutex> slot_mu(nd);
-    HGS_RETURN_NOT_OK(ParallelStatusFor(
-        units.size(), fetch_parallelism_, stats,
-        [&](size_t uidx, FetchStats* local) -> Status {
-          const Unit& u = units[uidx];
-          const uint64_t placement =
-              tgi::DeltaPlacement(span->tsid, u.sid, ns);
-          const CacheKind kind =
-              is_evl[u.slot] ? CacheKind::kEventList : CacheKind::kDelta;
-          HGS_ASSIGN_OR_RETURN(
-              DecodedScanRef scan,
-              FetchDecodedScan(meta, tgi::kDeltasTable, placement,
-                               tgi::DeltaScanPrefix(dids[u.slot]), kind,
-                               local));
-          MutexLock lock(slot_mu[u.slot]);
-          for (const DecodedEntry& row : scan->rows) {
-            if (!is_evl[u.slot]) {
-              slot_deltas[u.slot].push_back(
-                  std::static_pointer_cast<const Delta>(row.obj));
-            } else {
-              slot_evls[u.slot].push_back(
-                  std::static_pointer_cast<const EventList>(row.obj));
-            }
-          }
-          return Status::OK();
-        }));
-  }
-
-  // Merge: tree deltas root-to-leaf, then eventlists in order, up to t.
-  // Exclusively owned decoded objects are consumed by the move-aware
-  // Add/ApplyUpTo overloads; cache-managed ones are applied by const ref.
+  const std::vector<Slot> slots = SnapshotSlots(*span, t);
+  HGS_ASSIGN_OR_RETURN(SlotRows rows, FetchSlots(meta, slots, stats));
+  // Tree deltas root-to-leaf, then eventlists in order, up to t.
   const bool exclusive = decoded_cache_ == nullptr;
   Delta acc;
-  for (size_t i = 0; i < nd; ++i) {
-    if (!is_evl[i]) {
-      for (auto& d : slot_deltas[i]) MergeDelta(&acc, std::move(d), exclusive);
-    } else {
-      for (auto& e : slot_evls[i]) {
-        MergeEventListUpTo(&acc, std::move(e), t, exclusive);
-      }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    for (auto& row : rows[i]) {
+      ApplyRow(&acc, std::move(row), slots[i].kind, kMinTimestamp, t,
+               exclusive);
     }
   }
   return acc;
@@ -977,72 +1037,18 @@ Result<std::vector<Graph>> TGIQueryManager::GetMultipointSnapshots(
       state_cpi = span == nullptr ? -1 : span->CheckpointBefore(t);
     } else {
       // Same span, same checkpoint: replay only the eventlists covering
-      // (state_time, t].
-      int32_t evl_from = span->EventlistCovering(state_time);
-      if (evl_from < 0) evl_from = 0;
-      int32_t evl_to = span->EventlistCovering(t);
-      const size_t ns = meta.graph.num_horizontal_partitions;
-      const auto order =
-          static_cast<ClusteringOrder>(meta.graph.clustering_order);
-      // Decoded eventlists of (evl_from .. evl_to], in eventlist order —
-      // no raw staging: rows decode straight from the shared scan results
-      // or batched values, and repeats come decoded from the cache.
-      std::vector<std::shared_ptr<const EventList>> evls;
-      if (order == ClusteringOrder::kDeltaMajor) {
-        for (int32_t j = evl_from; j <= evl_to; ++j) {
-          for (size_t sid = 0; sid < ns; ++sid) {
-            const uint64_t placement = tgi::DeltaPlacement(
-                span->tsid, static_cast<PartitionId>(sid), ns);
-            auto res = FetchDecodedScan(
-                meta, tgi::kDeltasTable, placement,
-                tgi::DeltaScanPrefix(tgi::EventlistDid(static_cast<size_t>(j))),
-                CacheKind::kEventList, stats);
-            if (!res.ok()) return res.status();
-            for (const DecodedEntry& row : (*res)->rows) {
-              evls.push_back(
-                  std::static_pointer_cast<const EventList>(row.obj));
-            }
-          }
-        }
-      } else {
-        // Partition-major rows are keyed pid-first: batch the per-pid
-        // eventlist rows of the range into one decode-first fetch.
-        std::vector<MultiGetKey> keys;
-        keys.reserve(static_cast<size_t>(evl_to - evl_from + 1) *
-                     span->num_micro_partitions);
-        for (int32_t j = evl_from; j <= evl_to; ++j) {
-          for (MicroPartitionId pid = 0; pid < span->num_micro_partitions;
-               ++pid) {
-            PartitionId sid = tgi::SidOf(pid, ns);
-            keys.push_back(MultiGetKey{
-                tgi::DeltaPlacement(span->tsid, sid, ns),
-                tgi::DeltaRowKey(order,
-                                 tgi::EventlistDid(static_cast<size_t>(j)),
-                                 pid, false)});
-          }
-        }
-        HGS_ASSIGN_OR_RETURN(
-            std::vector<std::shared_ptr<const EventList>> fetched,
-            FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys,
-                                          stats));
-        evls.reserve(fetched.size());
-        for (auto& evl : fetched) {
-          if (evl != nullptr) evls.push_back(std::move(evl));
-        }
-      }
+      // (state_time, t], skipping events already applied.
+      std::vector<Slot> slots;
+      AppendEventlistSlots(*span,
+                           std::max(span->EventlistCovering(state_time), 0),
+                           span->EventlistCovering(t), &slots);
+      HGS_ASSIGN_OR_RETURN(SlotRows rows, FetchSlots(meta, slots, stats));
       const bool exclusive = decoded_cache_ == nullptr;
-      for (auto& evl : evls) {
-        // Skip events already applied, stop at t. Each eventlist's window
-        // is applied as one batched per-key pass; exclusively owned decoded
-        // lists donate their payloads (see MergeDelta for why cache-managed
-        // objects are applied by const reference).
-        if (exclusive && evl.use_count() == 1) {
-          state.ApplyEvents(std::move(const_cast<EventList&>(*evl)),
-                            state_time, t);
-        } else {
-          state.ApplyEvents(*evl, state_time, t);
+      for (auto& slot_rows : rows) {
+        for (auto& row : slot_rows) {
+          ApplyRow(&state, std::move(row), CacheKind::kEventList, state_time,
+                   t, exclusive);
         }
-        evl.reset();
       }
     }
     state_time = t;
@@ -1077,34 +1083,12 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
   std::vector<Delta> out(pids.size());
   if (pids.empty()) return out;
 
-  int32_t cpi = span.CheckpointBefore(t);
-  if (cpi < 0) cpi = 0;
-  std::vector<DeltaId> path = span.PathToCheckpoint(cpi);
-  size_t evl_from = static_cast<size_t>(cpi) * span.checkpoint_interval /
-                    span.eventlist_size;
-  int32_t evl_to = span.EventlistCovering(t);
-
   const size_t ns = meta.graph.num_horizontal_partitions;
   const auto order =
       static_cast<ClusteringOrder>(meta.graph.clustering_order);
-
-  // The did sequence is shared by every requested micro-partition.
-  std::vector<DeltaId> dids;
-  std::vector<bool> is_evl;
-  for (DeltaId did : path) {
-    dids.push_back(did);
-    is_evl.push_back(false);
-  }
-  if (evl_to >= 0) {
-    for (size_t j = evl_from; j <= static_cast<size_t>(evl_to); ++j) {
-      dids.push_back(tgi::EventlistDid(j));
-      is_evl.push_back(true);
-    }
-  }
-  const size_t nd = dids.size();
-  auto kind_of = [&](size_t i) {
-    return is_evl[i] ? CacheKind::kEventList : CacheKind::kDelta;
-  };
+  // The slot sequence is shared by every requested micro-partition.
+  const std::vector<Slot> slots = SnapshotSlots(span, t);
+  const size_t nd = slots.size();
 
   // Decoded values per (pid, did): regular row + optional aux replication
   // row, flattened as p * nd + i. Shared with the decoded cache; the
@@ -1118,7 +1102,7 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
     // payoff). The scans run as parallel cached requests, and each row
     // decodes in place from the shared scan result.
     std::unordered_map<DeltaId, size_t> want;
-    for (size_t i = 0; i < nd; ++i) want[dids[i]] = i;
+    for (size_t i = 0; i < nd; ++i) want[slots[i].did] = i;
     HGS_RETURN_NOT_OK(ParallelStatusFor(
         pids.size(), fetch_parallelism_, stats,
         [&](size_t p, FetchStats* local) -> Status {
@@ -1141,19 +1125,12 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
             auto it = want.find(did);
             if (it == want.end()) continue;
             const size_t i = it->second;
-            if (!is_evl[i]) {
-              HGS_ASSIGN_OR_RETURN(
-                  std::shared_ptr<const Delta> d,
-                  DecodeShared<Delta>(meta, tgi::kDeltasTable, placement,
-                                      kv.key, kv.value, local));
-              regular[p * nd + i] = std::move(d);
-            } else {
-              HGS_ASSIGN_OR_RETURN(
-                  std::shared_ptr<const EventList> e,
-                  DecodeShared<EventList>(meta, tgi::kDeltasTable, placement,
-                                          kv.key, kv.value, local));
-              regular[p * nd + i] = std::move(e);
-            }
+            HGS_ASSIGN_OR_RETURN(
+                DecodedEntry row,
+                DecodeShared(meta, slots[i].kind, tgi::kDeltasTable,
+                             placement, kv.key, kv.value, /*probe=*/true,
+                             local));
+            regular[p * nd + i] = std::move(row.obj);
           }
           return Status::OK();
         }));
@@ -1167,8 +1144,9 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
             tgi::DeltaPlacement(span.tsid, tgi::SidOf(pids[p], ns), ns);
         for (size_t i = 0; i < nd; ++i) {
           keys.push_back(MultiGetKey{
-              placement, tgi::DeltaRowKey(order, dids[i], pids[p], true)});
-          kinds.push_back(kind_of(i));
+              placement,
+              tgi::DeltaRowKey(order, slots[i].did, pids[p], true)});
+          kinds.push_back(slots[i].kind);
         }
       }
       HGS_ASSIGN_OR_RETURN(
@@ -1194,8 +1172,9 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
             tgi::DeltaPlacement(span.tsid, tgi::SidOf(pids[p], ns), ns);
         for (size_t i = 0; i < nd; ++i) {
           keys.push_back(MultiGetKey{
-              placement, tgi::DeltaRowKey(order, dids[i], pids[p], aux_pass)});
-          kinds.push_back(kind_of(i));
+              placement,
+              tgi::DeltaRowKey(order, slots[i].did, pids[p], aux_pass)});
+          kinds.push_back(slots[i].kind);
         }
       }
     }
@@ -1217,36 +1196,15 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
   const bool exclusive = decoded_cache_ == nullptr;
   ParallelFor(pids.size(), fetch_parallelism_, [&](size_t p) {
     Delta acc;
-    auto merge_one = [&](std::shared_ptr<const void>&& obj, bool eventlist) {
-      if (obj == nullptr) return;
-      if (!eventlist) {
-        MergeDelta(&acc,
-                   std::static_pointer_cast<const Delta>(std::move(obj)),
-                   exclusive);
-      } else {
-        MergeEventListUpTo(
-            &acc, std::static_pointer_cast<const EventList>(std::move(obj)),
-            t, exclusive);
-      }
-    };
     for (size_t i = 0; i < nd; ++i) {
-      merge_one(std::move(regular[p * nd + i]), is_evl[i]);
-      merge_one(std::move(aux[p * nd + i]), is_evl[i]);
+      ApplyRow(&acc, std::move(regular[p * nd + i]), slots[i].kind,
+               kMinTimestamp, t, exclusive);
+      ApplyRow(&acc, std::move(aux[p * nd + i]), slots[i].kind, kMinTimestamp,
+               t, exclusive);
     }
     out[p] = std::move(acc);
   });
   return out;
-}
-
-Result<Delta> TGIQueryManager::FetchMicroStateAt(const MetaState& meta,
-                                                 const tgi::TimespanMeta& span,
-                                                 MicroPartitionId pid,
-                                                 Timestamp t, bool include_aux,
-                                                 FetchStats* stats) {
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<Delta> states,
-      FetchMicroStatesAt(meta, span, {pid}, t, include_aux, stats));
-  return std::move(states[0]);
 }
 
 Result<Delta> TGIQueryManager::GetNodeStateDelta(NodeId id, Timestamp t,
@@ -1256,9 +1214,10 @@ Result<Delta> TGIQueryManager::GetNodeStateDelta(NodeId id, Timestamp t,
   const tgi::TimespanMeta* span = SpanFor(*meta, t);
   if (span == nullptr) return Delta();
   HGS_ASSIGN_OR_RETURN(MicroPartitionId pid, PidOf(*meta, id, *span, stats));
-  HGS_ASSIGN_OR_RETURN(Delta micro,
-                       FetchMicroStateAt(*meta, *span, pid, t, false, stats));
-  return micro.FilterById(id);
+  HGS_ASSIGN_OR_RETURN(
+      std::vector<Delta> micro,
+      FetchMicroStatesAt(*meta, *span, {pid}, t, false, stats));
+  return micro[0].FilterById(id);
 }
 
 Result<NodeHistory> TGIQueryManager::GetNodeHistory(NodeId id, Timestamp from,
@@ -1335,64 +1294,28 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
       std::vector<std::shared_ptr<const MergedVersionChain>> chains,
       FetchVersionChains(meta, uniq, stats));
 
-  // ---- Union all version-chain references into one deduplicated eventlist
-  // batch. refs_of[u] holds indices into `keys` in chain order, so the
-  // per-node replay below applies eventlists exactly as the per-node path
-  // would.
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<MultiGetKey> keys;
-  std::unordered_map<std::string, size_t> key_index;  // placement \0 row key
-  std::vector<std::vector<size_t>> refs_of(uniq.size());
-  uint64_t total_refs = 0;
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    for (const tgi::VersionEntry& e : chains[u]->entries) {
-      if (e.last_time <= from || e.first_time > to) continue;
-      ++total_refs;
-      PartitionId sid = tgi::SidOf(e.pid, ns);
-      MultiGetKey key{
-          tgi::DeltaPlacement(e.tsid, sid, ns),
-          tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
-                           e.pid, false)};
-      std::string dedup;
-      dedup.reserve(8 + 1 + key.key.size());
-      AppendOrdered64(&dedup, key.partition);
-      dedup.push_back('\0');
-      dedup.append(key.key);
-      auto [it, inserted] = key_index.emplace(std::move(dedup), keys.size());
-      if (inserted) keys.push_back(std::move(key));
-      refs_of[u].push_back(it->second);
-    }
-  }
-  if (stats != nullptr) {
-    stats->eventlist_refs += total_refs;
-    stats->eventlist_fetches += keys.size();
-  }
-
-  // One decode-first batched fetch for every referenced eventlist: rows
-  // already decoded (this query or a previous one) come straight from the
-  // decoded cache; the rest ride one MultiGet and decode exactly once
-  // however many nodes share them.
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const EventList>> evls,
-      FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys, stats));
+  // ---- Every referenced eventlist, fetched and decoded once however many
+  // nodes share it.
+  HGS_ASSIGN_OR_RETURN(ChainEventlists evls,
+                       FetchChainEventlists(meta, chains, from, to, stats));
 
   // ---- Demultiplex. Each decoded eventlist is scanned once — not once per
   // referencing node — bucketing its in-range events by requested member
   // (members_of[k]); each node then drains its buckets in chain order, so
   // per-node event order matches the per-node path exactly.
-  std::vector<std::unordered_map<NodeId, size_t>> members_of(keys.size());
+  const size_t nrows = evls.rows.size();
+  std::vector<std::unordered_map<NodeId, size_t>> members_of(nrows);
   for (size_t u = 0; u < uniq.size(); ++u) {
-    for (size_t k : refs_of[u]) members_of[k].emplace(uniq[u], u);
+    for (size_t k : evls.refs[u]) members_of[k].emplace(uniq[u], u);
   }
   // buckets[k]: per referencing member, pointers to its events in order.
   std::vector<std::unordered_map<size_t, std::vector<const Event*>>> buckets(
-      keys.size());
-  ParallelFor(keys.size(), fetch_parallelism_, [&](size_t k) {
-    if (evls[k] == nullptr) return;
+      nrows);
+  ParallelFor(nrows, fetch_parallelism_, [&](size_t k) {
+    if (evls.rows[k] == nullptr) return;
     auto& bucket = buckets[k];
     const auto& members = members_of[k];
-    for (const Event& e : evls[k]->events()) {
+    for (const Event& e : evls.rows[k]->events()) {
       if (e.time <= from || e.time > to) continue;
       auto it = members.find(e.u);
       if (it != members.end()) bucket[it->second].push_back(&e);
@@ -1411,7 +1334,7 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
     history.to = to;
     history.initial = std::move(initials[u]);
     history.events.SetScope(from, to);
-    for (size_t k : refs_of[u]) {
+    for (size_t k : evls.refs[u]) {
       auto it = buckets[k].find(u);
       if (it == buckets[k].end()) continue;
       for (const Event* e : it->second) history.events.Append(*e);
@@ -1447,119 +1370,29 @@ Result<std::vector<Event>> TGIQueryManager::GetMergedMemberEvents(
       std::vector<std::shared_ptr<const MergedVersionChain>> chains,
       FetchVersionChains(meta, uniq, stats));
 
-  // Union every in-range version-chain reference into one deduplicated
-  // eventlist batch, remembering which (timespan, eventlist index) chunk
-  // each row carries. Rows of one chunk differ only in micro-partition;
-  // together they cover the chunk's member-touching events, with internal
-  // edge events duplicated across the endpoint partitions' rows.
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<MultiGetKey> keys;
-  std::unordered_map<std::string, size_t> key_index;  // placement \0 row key
-  std::vector<std::pair<TimespanId, uint32_t>> chunk_of;
-  uint64_t total_refs = 0;
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    for (const tgi::VersionEntry& e : chains[u]->entries) {
-      if (e.last_time <= from || e.first_time > to) continue;
-      ++total_refs;
-      PartitionId sid = tgi::SidOf(e.pid, ns);
-      MultiGetKey key{
-          tgi::DeltaPlacement(e.tsid, sid, ns),
-          tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
-                           e.pid, false)};
-      std::string dedup;
-      dedup.reserve(8 + 1 + key.key.size());
-      AppendOrdered64(&dedup, key.partition);
-      dedup.push_back('\0');
-      dedup.append(key.key);
-      auto [it, inserted] = key_index.emplace(std::move(dedup), keys.size());
-      if (inserted) {
-        keys.push_back(std::move(key));
-        chunk_of.emplace_back(e.tsid, e.eventlist_index);
-      }
+  HGS_ASSIGN_OR_RETURN(ChainEventlists evls,
+                       FetchChainEventlists(meta, chains, from, to, stats));
+  // Rows of one chunk differ only in micro-partition; together they cover
+  // the chunk's member-touching events. An event touching two members
+  // through one row is still picked once.
+  std::map<std::pair<TimespanId, uint32_t>, std::vector<const EventList*>>
+      by_chunk;
+  for (size_t k = 0; k < evls.rows.size(); ++k) {
+    if (evls.rows[k] != nullptr) {
+      by_chunk[evls.chunk[k]].push_back(evls.rows[k].get());
     }
   }
-  if (stats != nullptr) {
-    stats->eventlist_refs += total_refs;
-    stats->eventlist_fetches += keys.size();
-  }
-
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const EventList>> evls,
-      FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys, stats));
-
-  // Scan each row once, keeping in-range events that touch any member. An
-  // event touching two members through one row is still appended once.
-  std::vector<std::vector<const Event*>> picked(keys.size());
-  ParallelFor(keys.size(), fetch_parallelism_, [&](size_t k) {
-    if (evls[k] == nullptr) return;
-    for (const Event& e : evls[k]->events()) {
-      if (e.time <= from || e.time > to) continue;
-      if (members.contains(e.u) || (e.IsEdgeEvent() && members.contains(e.v))) {
-        picked[k].push_back(&e);
-      }
-    }
-  });
-
-  // Merge by chunk: eventlist chunks are consecutive slices of the
-  // chronological ingest stream, so concatenating them in (timespan,
-  // index) order is already globally time-ordered. Only within a chunk is
-  // a sort needed — to make cross-row duplicates adjacent for unique —
-  // and a chunk is at most eventlist_size events, so the global
-  // sort-the-union pass this replaces never happens.
-  std::vector<size_t> ks(keys.size());
-  for (size_t k = 0; k < ks.size(); ++k) ks[k] = k;
-  std::sort(ks.begin(), ks.end(), [&](size_t a, size_t b) {
-    return chunk_of[a] < chunk_of[b];
-  });
-  // Within a chunk, each row's picked events are already chronological (an
-  // eventlist is time-sorted and the scan preserves order), so a k-way
-  // merge by time replaces the whole-chunk comparison sort. Time is
-  // EventTotalOrder's primary key, so merging by time and sorting only the
-  // runs of equal timestamps yields exactly the order the full sort
-  // produced — and unique only needs to see those runs, because duplicates
-  // (internal edge events arriving via both endpoints' rows) share a
-  // timestamp.
-  struct RowCursor {
-    const Event* const* cur;
-    const Event* const* end;
-  };
-  std::vector<RowCursor> cursors;
-  std::vector<Event> run;
-  for (size_t i = 0; i < ks.size();) {
-    size_t j = i;
-    cursors.clear();
-    for (; j < ks.size() && chunk_of[ks[j]] == chunk_of[ks[i]]; ++j) {
-      const std::vector<const Event*>& p = picked[ks[j]];
-      if (!p.empty()) cursors.push_back({p.data(), p.data() + p.size()});
-    }
-    if (!cursors.empty() && stats != nullptr) {
-      ++stats->taf_merge_skipped_sorts;
-    }
-    while (!cursors.empty()) {
-      Timestamp t = (*cursors[0].cur)->time;
-      for (size_t c = 1; c < cursors.size(); ++c) {
-        t = std::min(t, (*cursors[c].cur)->time);
-      }
-      run.clear();
-      for (size_t c = 0; c < cursors.size();) {
-        RowCursor& rc = cursors[c];
-        while (rc.cur != rc.end && (*rc.cur)->time == t) {
-          run.push_back(**rc.cur);
-          ++rc.cur;
-        }
-        if (rc.cur == rc.end) {
-          cursors.erase(cursors.begin() + static_cast<ptrdiff_t>(c));
-        } else {
-          ++c;
-        }
-      }
-      std::sort(run.begin(), run.end(), EventTotalOrder);
-      run.erase(std::unique(run.begin(), run.end()), run.end());
-      for (Event& e : run) out.push_back(std::move(e));
-    }
-    i = j;
-  }
+  std::vector<std::vector<const EventList*>> chunks;
+  chunks.reserve(by_chunk.size());
+  for (auto& [chunk, rows] : by_chunk) chunks.push_back(std::move(rows));
+  const size_t merged = MergeEventChunks(
+      chunks, from, to, fetch_parallelism_,
+      [&members](const Event& e) {
+        return members.contains(e.u) ||
+               (e.IsEdgeEvent() && members.contains(e.v));
+      },
+      &out);
+  if (stats != nullptr) stats->taf_merge_skipped_sorts += merged;
   return out;
 }
 
@@ -1583,8 +1416,9 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
   HGS_ASSIGN_OR_RETURN(MicroPartitionId center_pid,
                        PidOf(meta, id, *span, stats));
   HGS_ASSIGN_OR_RETURN(
-      Delta acc,
-      FetchMicroStateAt(meta, *span, center_pid, t, replicated, stats));
+      std::vector<Delta> center,
+      FetchMicroStatesAt(meta, *span, {center_pid}, t, replicated, stats));
+  Delta acc = std::move(center[0]);
 
   std::unordered_set<MicroPartitionId> fetched_pids{center_pid};
   std::unordered_set<NodeId> visited{id};
@@ -1656,95 +1490,29 @@ Result<std::vector<Event>> TGIQueryManager::GetEventsInRange(
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
-  const size_t ns = meta.graph.num_horizontal_partitions;
-
-  // Collect the (tsid, eventlist, sid) scan units overlapping the range.
-  struct Unit {
-    TimespanId tsid;
-    size_t eventlist_index;
-    PartitionId sid;
-  };
-  std::vector<Unit> units;
+  // One slot per eventlist overlapping the range; each is a chunk of the
+  // ingest stream, and spans and eventlists come in stream order.
+  std::vector<Slot> slots;
   for (const auto& span : meta.spans) {
     if (span.end <= from || span.start > to) continue;
     for (size_t j = 0; j < span.eventlist_bounds.size(); ++j) {
       const auto& [first, last] = span.eventlist_bounds[j];
       if (last <= from || first > to) continue;
-      for (size_t sid = 0; sid < ns; ++sid) {
-        units.push_back(Unit{span.tsid, j, static_cast<PartitionId>(sid)});
-      }
+      slots.push_back(
+          Slot{&span, tgi::EventlistDid(j), CacheKind::kEventList});
     }
   }
-
-  const auto order =
-      static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<std::vector<Event>> per_unit(units.size());
-
-  // In delta-major order each unit is one contiguous scan; in
-  // partition-major order every (unit, pid) row is an independent point
-  // read, so the whole range goes out as one decode-first batched fetch.
-  std::vector<std::shared_ptr<const EventList>> unit_evls;
-  std::vector<std::pair<size_t, size_t>> unit_ranges;  // [begin, end) per unit
-  if (order == ClusteringOrder::kPartitionMajor) {
-    std::vector<MultiGetKey> keys;
-    unit_ranges.reserve(units.size());
-    for (const Unit& u : units) {
-      size_t begin = keys.size();
-      const auto& span = meta.spans[u.tsid];
-      for (MicroPartitionId pid = u.sid; pid < span.num_micro_partitions;
-           pid += ns) {
-        keys.push_back(MultiGetKey{
-            tgi::DeltaPlacement(u.tsid, u.sid, ns),
-            tgi::DeltaRowKey(order, tgi::EventlistDid(u.eventlist_index), pid,
-                             false)});
-      }
-      unit_ranges.emplace_back(begin, keys.size());
+  HGS_ASSIGN_OR_RETURN(SlotRows rows, FetchSlots(meta, slots, stats));
+  std::vector<std::vector<const EventList*>> chunks(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (const auto& row : rows[i]) {
+      chunks[i].push_back(static_cast<const EventList*>(row.get()));
     }
-    HGS_ASSIGN_OR_RETURN(
-        unit_evls,
-        FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys, stats));
   }
-
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      units.size(), fetch_parallelism_, stats,
-      [&](size_t i, FetchStats* local) -> Status {
-        const Unit& u = units[i];
-        std::vector<Event>& out = per_unit[i];
-        auto collect = [&](const EventList& evl) {
-          for (const Event& e : evl.events()) {
-            if (e.time > from && e.time <= to) out.push_back(e);
-          }
-        };
-        if (order == ClusteringOrder::kDeltaMajor) {
-          const uint64_t placement = tgi::DeltaPlacement(u.tsid, u.sid, ns);
-          HGS_ASSIGN_OR_RETURN(
-              DecodedScanRef res,
-              FetchDecodedScan(meta, tgi::kDeltasTable, placement,
-                               tgi::DeltaScanPrefix(tgi::EventlistDid(
-                                   u.eventlist_index)),
-                               CacheKind::kEventList, local));
-          for (const DecodedEntry& row : res->rows) {
-            collect(*std::static_pointer_cast<const EventList>(row.obj));
-          }
-        } else {
-          const auto& [begin, end] = unit_ranges[i];
-          for (size_t k = begin; k < end; ++k) {
-            if (unit_evls[k] != nullptr) collect(*unit_evls[k]);
-          }
-        }
-        return Status::OK();
-      }));
-
-  std::vector<Event> merged;
-  for (auto& part : per_unit) {
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Event& a, const Event& b) { return a.time < b.time; });
-  // Edge events are stored with both endpoints' partitions: deduplicate
-  // identical adjacent events (timestamps are unique per event).
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  return merged;
+  std::vector<Event> out;
+  MergeEventChunks(chunks, from, to, fetch_parallelism_,
+                   [](const Event&) { return true; }, &out);
+  return out;
 }
 
 Result<OneHopHistory> TGIQueryManager::GetOneHopHistory(NodeId id,

@@ -16,6 +16,14 @@
 // node), and batches the initial-state fetches per micro-partition. Its
 // cost is therefore bounded by partitions touched, not nodes requested.
 //
+// Every reconstruction runs one row pipeline: plan the merge slots (tree
+// deltas along the checkpoint path, then eventlists), fetch every slot's
+// micro-delta rows decoded (FetchSlots), and apply them in slot order
+// (ApplyRow). Event retrievals (GetEventsInRange, GetMergedMemberEvents)
+// merge the fetched eventlist rows chunk by chunk instead: the result is
+// chronological, each stored event appears once, and events sharing a
+// timestamp come out in EventTotalOrder.
+//
 // All fetches are decomposed into independent micro-delta reads. Point
 // reads are batched per query through Cluster::MultiGet (one node round
 // trip per storage node instead of one per key); partition scans run on
@@ -189,18 +197,23 @@ struct OneHopHistory {
   std::vector<NodeHistory> neighbors;
 };
 
+/// Byte budgets of the two read-cache tiers; 0 disables a tier. Passed by
+/// field name, so a budget can never land in the wrong parameter.
+struct CacheBudgets {
+  size_t read_bytes = 0;     ///< partition-delta (raw byte) cache
+  size_t decoded_bytes = 0;  ///< decoded-object cache
+};
+
 class TGIQueryManager {
  public:
-  /// `read_cache_bytes` is the partition-delta (raw byte) cache budget and
-  /// `decoded_cache_bytes` the decoded-object cache budget (0 disables
-  /// either tier; TGI::OpenQueryManager passes the TGIOptions knobs). The
-  /// two tiers are independent: bytes serve re-fetches without round trips,
-  /// decoded objects serve repeats without deserialization. Each tier
-  /// splits its budget into one lock shard per 64 KiB, at most 16, so a
-  /// small budget still admits entries that fit in the whole of it.
+  /// `budgets` sizes the two read-cache tiers (TGI::OpenQueryManager passes
+  /// the TGIOptions knobs). The tiers are independent: bytes serve
+  /// re-fetches without round trips, decoded objects serve repeats without
+  /// deserialization. Each tier splits its budget into one lock shard per
+  /// 64 KiB, at most 16, so a small budget still admits entries that fit in
+  /// the whole of it.
   explicit TGIQueryManager(Cluster* cluster, size_t fetch_parallelism = 1,
-                           size_t read_cache_bytes = 0,
-                           size_t decoded_cache_bytes = 0);
+                           CacheBudgets budgets = {});
 
   /// Loads graph + timespan metadata. Metadata and the read cache refresh
   /// automatically when the cluster's publish epoch changes (AppendBatch).
@@ -244,10 +257,11 @@ class TGIQueryManager {
   /// version chains, one deduplicated eventlist batch, each row scanned
   /// once), but instead of demultiplexing per node it merges by eventlist:
   /// rows are grouped by (timespan, eventlist index) — a chunk of the
-  /// original chronological stream — so only each group needs a local
-  /// sort + unique (duplicates of an internal edge event all live in the
-  /// same chunk), and the groups concatenate in chunk order. No global
-  /// sort over the union, and no initial-state fetches.
+  /// original chronological stream — and each chunk's rows are k-way
+  /// merged by time, with equal-timestamp runs sorted by EventTotalOrder
+  /// and deduplicated (duplicates of an internal edge event all live in
+  /// the same chunk). No global sort over the union, and no initial-state
+  /// fetches.
   Result<std::vector<Event>> GetMergedMemberEvents(
       const std::vector<NodeId>& ids, Timestamp from, Timestamp to,
       FetchStats* stats = nullptr);
@@ -267,7 +281,9 @@ class TGIQueryManager {
                                          FetchStats* stats = nullptr);
 
   /// Every event in (from, to], across all timespans and partitions, in
-  /// chronological order. This is the full-log scan primitive (used by the
+  /// chronological order, each stored event once (an edge event stored in
+  /// both endpoints' rows included); events sharing a timestamp come out
+  /// in EventTotalOrder. This is the full-log scan primitive (used by the
   /// DeltaGraph baseline's version queries and by whole-graph evolution
   /// analyses); its cost is proportional to the range's change volume.
   Result<std::vector<Event>> GetEventsInRange(Timestamp from, Timestamp to,
@@ -413,19 +429,44 @@ class TGIQueryManager {
                                  const tgi::TimespanMeta& span,
                                  FetchStats* stats);
 
+  /// One merge slot of a reconstruction: the rows of delta `did` in `span`
+  /// across its micro-partitions, all of decoded type `kind`
+  /// (CacheKind::kDelta for tree deltas, kEventList for eventlists).
+  struct Slot {
+    const tgi::TimespanMeta* span = nullptr;
+    DeltaId did = 0;
+    CacheKind kind = CacheKind::kDelta;
+  };
+  /// Decoded rows of each slot, in slot order; absent rows are dropped.
+  using SlotRows = std::vector<std::vector<std::shared_ptr<const void>>>;
+
+  /// The slots that rebuild `span`'s state at t: the tree deltas on the
+  /// path to the checkpoint before t, root to leaf, then the eventlists
+  /// from that checkpoint through the one covering t.
+  static std::vector<Slot> SnapshotSlots(const tgi::TimespanMeta& span,
+                                         Timestamp t);
+
+  /// Appends the slots of `span`'s eventlists first..last (inclusive).
+  static void AppendEventlistSlots(const tgi::TimespanMeta& span,
+                                   int64_t first, int64_t last,
+                                   std::vector<Slot>* slots);
+
+  /// Fetches every slot's rows, decoded. Delta-major: one FetchDecodedScan
+  /// per (slot, horizontal partition), run on the fetch clients;
+  /// partition-major: one FetchDecodedRows batch over every (slot,
+  /// micro-partition) row.
+  Result<SlotRows> FetchSlots(const MetaState& meta,
+                              const std::vector<Slot>& slots,
+                              FetchStats* stats);
+
   /// Reconstructed state of micro-partitions at time t (one Delta per input
-  /// pid): tree path point reads + eventlist replay, optionally including
-  /// aux replication rows. All pids' point reads go out as one MultiGet.
+  /// pid): the SnapshotSlots rows of each pid, optionally with their aux
+  /// replication rows. Partition-major runs one scan per pid and keeps the
+  /// slots' rows; delta-major batches every row into one decoded fetch.
   Result<std::vector<Delta>> FetchMicroStatesAt(
       const MetaState& meta, const tgi::TimespanMeta& span,
       const std::vector<MicroPartitionId>& pids, Timestamp t, bool include_aux,
       FetchStats* stats);
-
-  /// Single-pid convenience over FetchMicroStatesAt.
-  Result<Delta> FetchMicroStateAt(const MetaState& meta,
-                                  const tgi::TimespanMeta& span,
-                                  MicroPartitionId pid, Timestamp t,
-                                  bool include_aux, FetchStats* stats);
 
   /// Batched, cached point reads: cache lookups first, then one MultiGet
   /// for the misses. One entry per input key; NotFound maps to nullopt.
@@ -466,22 +507,16 @@ class TGIQueryManager {
       const std::vector<MultiGetKey>& keys,
       const std::vector<CacheKind>& kinds, FetchStats* stats);
 
-  /// Uniform-type wrapper over FetchDecodedRows.
-  template <typename T>
-  Result<std::vector<std::shared_ptr<const T>>> FetchDecodedValues(
-      const MetaState& meta, std::string_view table,
-      const std::vector<MultiGetKey>& keys, FetchStats* stats);
-
-  /// Decoded-tier lookup for one row whose raw bytes are already in hand
-  /// (a partition-scan result): returns the shared decoded object, decoding
-  /// `raw` only when the cache has no entry for (table, partition, row).
-  template <typename T>
-  Result<std::shared_ptr<const T>> DecodeShared(const MetaState& meta,
-                                                std::string_view table,
-                                                uint64_t partition,
-                                                std::string_view row,
-                                                std::string_view raw,
-                                                FetchStats* stats);
+  /// Decodes one present row whose raw bytes are in hand as `kind`, counts
+  /// it as consumed, and publishes the shared object under the row's
+  /// decoded-tier key. With `probe`, a decoded-tier hit on that key is
+  /// returned instead and nothing is decoded; callers that already probed
+  /// (FetchDecodedRows' misses) pass false.
+  Result<DecodedEntry> DecodeShared(const MetaState& meta, CacheKind kind,
+                                    std::string_view table,
+                                    uint64_t partition, std::string_view row,
+                                    std::string_view raw, bool probe,
+                                    FetchStats* stats);
 
   /// Scan-granularity decoded fetch: one decoded-tier probe serves every
   /// row of the (table, partition, prefix) scan as ready-to-apply objects.
@@ -505,6 +540,25 @@ class TGIQueryManager {
   Result<std::vector<std::shared_ptr<const MergedVersionChain>>>
   FetchVersionChains(const MetaState& meta, const std::vector<NodeId>& ids,
                      FetchStats* stats);
+
+  /// The eventlist rows that version chains reference in (from, to].
+  struct ChainEventlists {
+    /// Deduplicated rows, decoded; null where the row is absent.
+    std::vector<std::shared_ptr<const EventList>> rows;
+    /// (timespan, eventlist index) chunk of the ingest stream per row.
+    std::vector<std::pair<TimespanId, uint32_t>> chunk;
+    /// Per chain: its rows (indices into `rows`) in chain order.
+    std::vector<std::vector<size_t>> refs;
+  };
+
+  /// Unions every in-range reference of `chains` into one deduplicated
+  /// eventlist batch and fetches it decoded, so an eventlist shared by
+  /// many chains is fetched and decoded once. Counts eventlist_refs and
+  /// eventlist_fetches.
+  Result<ChainEventlists> FetchChainEventlists(
+      const MetaState& meta,
+      const std::vector<std::shared_ptr<const MergedVersionChain>>& chains,
+      Timestamp from, Timestamp to, FetchStats* stats);
 
   // Internal (no-refresh) bodies of the public primitives, so composite
   // queries run every leg against one metadata snapshot.

@@ -44,8 +44,9 @@ class TGI {
   Result<std::unique_ptr<TGIQueryManager>> OpenQueryManager(
       size_t fetch_parallelism = 1) {
     auto qm = std::make_unique<TGIQueryManager>(
-        cluster_, fetch_parallelism, options_.read_cache_bytes,
-        options_.decoded_cache_bytes);
+        cluster_, fetch_parallelism,
+        CacheBudgets{.read_bytes = options_.read_cache_bytes,
+                     .decoded_bytes = options_.decoded_cache_bytes});
     HGS_RETURN_NOT_OK(qm->Open());
     return qm;
   }

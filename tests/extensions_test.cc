@@ -140,6 +140,71 @@ TEST(EventsInRangeTest, MatchesLogSlice) {
   }
 }
 
+// Equal event sequences, or the sizes or first index at which they differ.
+::testing::AssertionResult SameEvents(const std::vector<Event>& got,
+                                      const std::vector<Event>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " events, want " << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (!(got[i] == want[i])) {
+      return ::testing::AssertionFailure()
+             << "first difference at index " << i << " (t=" << want[i].time
+             << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(EventsInRangeTest, SameTimestampBurstReturnsEachEventOnce) {
+  // 400 node arrivals, then one 798-event burst at t=500 that links a
+  // chain across micro-partitions: every edge event is stored in both
+  // endpoints' rows, and a sort by time alone leaves its copies apart.
+  std::vector<Event> events;
+  for (NodeId n = 1; n <= 400; ++n) {
+    events.push_back(Event::AddNode(static_cast<Timestamp>(n), n));
+  }
+  for (NodeId n = 1; n < 400; ++n) {
+    events.push_back(Event::AddEdge(500, n, n + 1));
+    events.push_back(Event::SetNodeAttr(500, n, "k", std::to_string(n)));
+  }
+  ASSERT_EQ(events.size(), 1198u);
+  // Event retrievals return equal-timestamp runs in EventTotalOrder.
+  std::vector<Event> want = events;
+  std::sort(want.begin(), want.end(), EventTotalOrder);
+  std::vector<NodeId> ids;
+  for (NodeId n = 1; n <= 400; ++n) ids.push_back(n);
+
+  for (ClusteringOrder order :
+       {ClusteringOrder::kDeltaMajor, ClusteringOrder::kPartitionMajor}) {
+    SCOPED_TRACE(order == ClusteringOrder::kDeltaMajor ? "delta-major"
+                                                       : "partition-major");
+    Cluster cluster(FastCluster());
+    TGIOptions opts = SmallOptions();
+    opts.clustering_order = order;
+    TGI tgi(&cluster, opts);
+    ASSERT_TRUE(tgi.BuildFrom(events).ok());
+    auto qm = tgi.OpenQueryManager(2).value();
+
+    auto got = qm->GetEventsInRange(0, 1000);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(SameEvents(*got, want)) << "GetEventsInRange";
+
+    auto merged = qm->GetMergedMemberEvents(ids, 0, 1000);
+    ASSERT_TRUE(merged.ok());
+    EXPECT_TRUE(SameEvents(*merged, want)) << "GetMergedMemberEvents";
+
+    std::vector<Timestamp> times = {499, 500, 501};
+    auto multi = qm->GetMultipointSnapshots(times);
+    ASSERT_TRUE(multi.ok());
+    for (size_t i = 0; i < times.size(); ++i) {
+      EXPECT_TRUE((*multi)[i] == workload::ReplayToGraph(events, times[i]))
+          << "t=" << times[i];
+    }
+  }
+}
+
 TEST(FilterAttributesTest, ProjectsAttributeDimension) {
   Cluster cluster(FastCluster());
   TGI tgi(&cluster, SmallOptions());

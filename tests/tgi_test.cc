@@ -425,6 +425,92 @@ TEST_P(TGIConfigTest, BulkNodeHistoriesMatchPerNode) {
   EXPECT_TRUE(bulk->back().initial == Delta());
 }
 
+// The log events in (from, to] that `keep` accepts, in the order event
+// retrievals return them: chronological, equal timestamps in
+// EventTotalOrder.
+template <typename Keep>
+std::vector<Event> LogSlice(const std::vector<Event>& events, Timestamp from,
+                            Timestamp to, const Keep& keep) {
+  std::vector<Event> out;
+  for (const Event& e : events) {
+    if (e.time > from && e.time <= to && keep(e)) out.push_back(e);
+  }
+  std::sort(out.begin(), out.end(), EventTotalOrder);
+  return out;
+}
+
+TEST_P(TGIConfigTest, MultipointSnapshotsMatchReplay) {
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, OptionsFromParam());
+  auto events = SmallHistory(29, 4'000);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm = tgi.OpenQueryManager(/*fetch_parallelism=*/2).value();
+
+  // Out of order, with duplicates, points inside one checkpoint window
+  // (rolled forward) and points in different spans (rebuilt).
+  Timestamp end = workload::EndTime(events);
+  std::vector<Timestamp> times = {end / 2,     end / 2 + 11, end / 4, end,
+                                  end / 2 + 3, end / 2 + 11, -5,      end + 50};
+  auto multi = qm->GetMultipointSnapshots(times);
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  ASSERT_EQ(multi->size(), times.size());
+  for (size_t i = 0; i < times.size(); ++i) {
+    EXPECT_TRUE((*multi)[i] == workload::ReplayToGraph(events, times[i]))
+        << "t=" << times[i];
+  }
+}
+
+TEST_P(TGIConfigTest, EventsInRangeMatchLogSlice) {
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, OptionsFromParam());
+  auto events = SmallHistory(31, 4'000);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm = tgi.OpenQueryManager(/*fetch_parallelism=*/2).value();
+
+  const Timestamp end = workload::EndTime(events);
+  const std::vector<std::pair<Timestamp, Timestamp>> ranges = {
+      {events[events.size() / 3].time, events[events.size() * 2 / 3].time},
+      {-5, end + 50}};
+  for (const auto& [from, to] : ranges) {
+    auto got = qm->GetEventsInRange(from, to);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<Event> want =
+        LogSlice(events, from, to, [](const Event&) { return true; });
+    ASSERT_EQ(got->size(), want.size()) << "(" << from << ", " << to << "]";
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*got)[i], want[i]) << "index " << i;
+    }
+  }
+}
+
+TEST_P(TGIConfigTest, MergedMemberEventsMatchLogFilter) {
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, OptionsFromParam());
+  auto events = SmallHistory(37, 4'000);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm = tgi.OpenQueryManager(/*fetch_parallelism=*/2).value();
+
+  Timestamp from = events[events.size() / 4].time;
+  Timestamp to = events[events.size() * 3 / 4].time;
+  auto pool = workload::ReplayToGraph(events, from).NodeIds();
+  ASSERT_GE(pool.size(), 16u);
+  std::vector<NodeId> ids(pool.begin(), pool.begin() + 16);
+  ids.push_back(ids[0]);         // duplicate
+  ids.push_back(1'000'000'000);  // never existed
+  std::unordered_set<NodeId> members(ids.begin(), ids.end());
+
+  auto got = qm->GetMergedMemberEvents(ids, from, to);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  std::vector<Event> want = LogSlice(events, from, to, [&](const Event& e) {
+    return members.contains(e.u) ||
+           (e.IsEdgeEvent() && members.contains(e.v));
+  });
+  ASSERT_EQ(got->size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ((*got)[i], want[i]) << "index " << i;
+  }
+}
+
 TEST(TGITest, BulkHistoriesDeduplicateSharedEventlists) {
   // One giant micro-partition co-locates every node, so busy nodes share
   // micro-eventlists: the bulk fetch must retrieve each shared eventlist
@@ -437,9 +523,9 @@ TEST(TGITest, BulkHistoriesDeduplicateSharedEventlists) {
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
 
   // Uncached managers: kv_batches then counts physical fetches only.
-  TGIQueryManager bulk_qm(&cluster, 2, /*read_cache_bytes=*/0);
+  TGIQueryManager bulk_qm(&cluster, 2, CacheBudgets{.read_bytes = 0});
   ASSERT_TRUE(bulk_qm.Open().ok());
-  TGIQueryManager single_qm(&cluster, 2, /*read_cache_bytes=*/0);
+  TGIQueryManager single_qm(&cluster, 2, CacheBudgets{.read_bytes = 0});
   ASSERT_TRUE(single_qm.Open().ok());
 
   // The busiest nodes: guaranteed to share eventlists with each other.
@@ -491,7 +577,7 @@ TEST(TGITest, BulkHistoriesDuplicateIdsFetchOnce) {
   TGI tgi(&cluster, SmallOptions());
   auto events = SmallHistory(73, 3'000);
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
-  TGIQueryManager qm(&cluster, 1, /*read_cache_bytes=*/0);
+  TGIQueryManager qm(&cluster, 1, CacheBudgets{.read_bytes = 0});
   ASSERT_TRUE(qm.Open().ok());
   Timestamp to = workload::EndTime(events);
   NodeId busy = events.front().u;
@@ -701,7 +787,7 @@ TEST(TGITest, CachedSnapshotIdenticalToColdAndHitsAccounted) {
 
   // Cached manager (TGIOptions default budget) vs an uncached control.
   auto qm = tgi.OpenQueryManager(2).value();
-  TGIQueryManager uncached(&cluster, 2, /*read_cache_bytes=*/0);
+  TGIQueryManager uncached(&cluster, 2, CacheBudgets{.read_bytes = 0});
   ASSERT_TRUE(uncached.Open().ok());
 
   Timestamp t1 = first[first.size() / 2].time;
@@ -808,8 +894,8 @@ TEST(TGITest, DecodedTierWorksWithoutByteCache) {
   TGI tgi(&cluster, opts);
   auto events = SmallHistory(72, 5'000);
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
-  TGIQueryManager qm(&cluster, 2, /*read_cache_bytes=*/0,
-                     /*decoded_cache_bytes=*/16u << 20);
+  TGIQueryManager qm(
+      &cluster, 2, CacheBudgets{.read_bytes = 0, .decoded_bytes = 16u << 20});
   ASSERT_TRUE(qm.Open().ok());
 
   Timestamp t = workload::EndTime(events);
@@ -864,8 +950,8 @@ TEST(TGITest, DecodedCacheEvictsUnderByteBudgetPressure) {
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
   // A budget far below the working set: entries must be admitted and
   // evicted continuously, with results unaffected.
-  TGIQueryManager qm(&cluster, 2, /*read_cache_bytes=*/0,
-                     /*decoded_cache_bytes=*/8u << 10);
+  TGIQueryManager qm(
+      &cluster, 2, CacheBudgets{.read_bytes = 0, .decoded_bytes = 8u << 10});
   ASSERT_TRUE(qm.Open().ok());
   Timestamp t = workload::EndTime(events);
   auto first = qm.GetSnapshot(t);
