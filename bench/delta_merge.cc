@@ -14,6 +14,10 @@
 //                    keeps an edge; reported for honesty
 //  6. removal-heavy: remove-node storm (the quadratic incident-edge scan
 //                    regression)
+//  7. ring-sum:      K in {2, 8, 24} partition-scale deltas whose edge keys
+//                    overlap (a k-hop ring, a root-to-leaf path), summed as
+//                    a left fold of Delta::Add vs one Delta::SumOrdered,
+//                    copying and moving
 //
 // Output: entries-or-events per second per implementation, and peak RSS at
 // exit (the flat representation also shrinks decoded residency).
@@ -26,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -340,6 +345,57 @@ void RunRemovalReplay(size_t num_edges, size_t num_removals, size_t rounds) {
               num_edges, num_removals);
 }
 
+// Sums the first k of 24 node-bucket slices of the snapshot; an edge sits in
+// both endpoints' slices, so the operands' edge keys overlap.
+void RunRingSum(const Delta& snapshot, size_t rounds) {
+  const std::vector<Delta> slices = SplitFlat(snapshot, 24);
+  for (size_t k : {2, 8, 24}) {
+    const std::vector<Delta> parts(slices.begin(),
+                                   slices.begin() + static_cast<ptrdiff_t>(k));
+    uint64_t entries = 0;
+    for (const Delta& p : parts) entries += p.Cardinality();
+    entries *= rounds;
+    std::vector<const Delta*> shared;
+    for (const Delta& p : parts) shared.push_back(&p);
+    double fold_copy_s = 0, sum_copy_s = 0, fold_move_s = 0, sum_move_s = 0;
+    size_t sink = 0;
+    for (size_t r = 0; r < rounds; ++r) {
+      auto start = std::chrono::steady_clock::now();
+      Delta acc;
+      for (const Delta& p : parts) acc.Add(p);
+      fold_copy_s += SecondsSince(start);
+      sink += acc.Cardinality();
+
+      start = std::chrono::steady_clock::now();
+      Delta sum = Delta::SumOrdered(shared);
+      sum_copy_s += SecondsSince(start);
+      sink += sum.Cardinality();
+
+      std::vector<Delta> doomed = parts;  // copies excluded from timing
+      start = std::chrono::steady_clock::now();
+      Delta moved_acc;
+      for (Delta& p : doomed) moved_acc.Add(std::move(p));
+      fold_move_s += SecondsSince(start);
+      sink += moved_acc.Cardinality();
+
+      doomed = parts;
+      std::vector<Delta*> owned;
+      for (Delta& p : doomed) owned.push_back(&p);
+      start = std::chrono::steady_clock::now();
+      Delta moved_sum = Delta::SumOrdered(std::span<Delta* const>(owned));
+      sum_move_s += SecondsSince(start);
+      sink += moved_sum.Cardinality();
+    }
+    char kernel[32];
+    std::snprintf(kernel, sizeof(kernel), "ring-sum/%zu", k);
+    PrintRate(kernel, "fold-copy", entries, fold_copy_s);
+    PrintRate(kernel, "sum-copy", entries, sum_copy_s);
+    PrintRate(kernel, "fold-move", entries, fold_move_s);
+    PrintRate(kernel, "sum-move", entries, sum_move_s);
+    std::printf("# ring-sum sink=%zu k=%zu\n", sink, k);
+  }
+}
+
 // Live-heap footprint of one snapshot-scale delta per representation.
 void RunResidency(const Delta& snapshot, const HashDelta& hash_snapshot) {
   if (!HGS_HEAP_ACCOUNTING) {
@@ -418,6 +474,7 @@ void Run() {
   RunReplay("growth-replay", snapshot, hash_snapshot, tail, rounds);
 
   RunRemovalReplay(Scaled(4'000), Scaled(1'000), rounds);
+  RunRingSum(snapshot, rounds);
 }
 
 }  // namespace

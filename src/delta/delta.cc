@@ -97,6 +97,99 @@ size_t GallopToKey(const std::vector<Entry>& entries, size_t from,
   return static_cast<size_t>(it - entries.begin());
 }
 
+// Ordered sum of sorted, unique-key entry runs as one k-way merge in which
+// the last run wins on an equal key. A binary heap of run cursors is kept
+// in (key ascending, run descending) order, so the winner of a tie is on
+// top and the losers follow it. The top run is emitted in one galloped
+// block up to the smaller head of its two heap children (the next key any
+// other run holds), so a large run interleaved with small ones costs one
+// heap step per block rather than per entry. `Vec` is const to copy the
+// entries, non-const to move them.
+template <typename Vec>
+std::remove_const_t<Vec> SumSortedRuns(const std::vector<Vec*>& all) {
+  constexpr bool kMove = !std::is_const_v<Vec>;
+  using Ptr = decltype(all[0]->data());
+  struct Cursor {
+    Ptr at;
+    Ptr end;
+    size_t run;
+  };
+  std::vector<Cursor> heap;
+  size_t total = 0;
+  for (size_t r = 0; r < all.size(); ++r) {
+    if (all[r]->empty()) continue;
+    heap.push_back(Cursor{all[r]->data(), all[r]->data() + all[r]->size(), r});
+    total += all[r]->size();
+  }
+  std::remove_const_t<Vec> out;
+  if (heap.empty()) return out;
+  if (heap.size() == 1) {
+    if constexpr (kMove) {
+      return std::move(*all[heap[0].run]);
+    } else {
+      return *all[heap[0].run];
+    }
+  }
+  out.reserve(total);
+  auto before = [](const Cursor& a, const Cursor& b) {
+    return a.at->first < b.at->first ||
+           (a.at->first == b.at->first && a.run > b.run);
+  };
+  std::sort(heap.begin(), heap.end(), before);  // a sorted array is a heap
+  // Drops the top cursor once exhausted, then sifts the top down.
+  auto sift_top = [&] {
+    if (heap[0].at == heap[0].end) {
+      heap[0] = heap.back();
+      heap.pop_back();
+      if (heap.empty()) return;
+    }
+    const Cursor v = heap[0];
+    size_t i = 0;
+    for (size_t c = 1; c < heap.size(); c = 2 * i + 1) {
+      if (c + 1 < heap.size() && before(heap[c + 1], heap[c])) ++c;
+      if (!before(heap[c], v)) break;
+      heap[i] = heap[c];
+      i = c;
+    }
+    heap[i] = v;
+  };
+  while (!heap.empty()) {
+    Cursor& top = heap[0];
+    Ptr end = top.end;
+    if (heap.size() > 1) {
+      const Cursor& next =
+          heap.size() > 2 && before(heap[2], heap[1]) ? heap[2] : heap[1];
+      const auto& bound = next.at->first;
+      end = top.at + 1;
+      if (end != top.end && end->first < bound) {
+        // Gallop while end->first < bound, then bisect the last step.
+        ptrdiff_t step = 1;
+        while (step < top.end - end && end[step].first < bound) {
+          end += step;
+          step <<= 1;
+        }
+        end = std::lower_bound(
+            end + 1, end + std::min(step, top.end - end), bound,
+            [](const auto& e, const auto& k) { return e.first < k; });
+      }
+    }
+    for (; top.at != end; ++top.at) {
+      if constexpr (kMove) {
+        out.push_back(std::move(*top.at));
+      } else {
+        out.push_back(*top.at);
+      }
+    }
+    sift_top();
+    // Earlier runs holding the key just emitted lose it.
+    while (!heap.empty() && heap[0].at->first == out.back().first) {
+      ++heap[0].at;
+      sift_top();
+    }
+  }
+  return out;
+}
+
 // Stable LSD radix pass set over a u64 key digit-by-digit (8-bit digits,
 // all-zero digits skipped via the OR mask). Refs are small trivially
 // copyable (key, index) pairs; radix beats comparison sort ~5x on the
@@ -381,6 +474,40 @@ void FlatEntryMap<Key, Rec>::MergeFrom(FlatEntryMap&& other) {
   }
   sorted_ = std::move(out);
   other.Clear();
+}
+
+template <typename Key, typename Rec>
+FlatEntryMap<Key, Rec> FlatEntryMap<Key, Rec>::SumOrdered(
+    std::span<const FlatEntryMap* const> parts) {
+  size_t unsorted = 0;
+  for (const FlatEntryMap* p : parts) unsorted += p->IsCompact() ? 0 : 1;
+  std::vector<FlatEntryMap> scratch;
+  scratch.reserve(unsorted);  // stable addresses for the runs below
+  std::vector<const std::vector<Entry>*> runs;
+  runs.reserve(parts.size());
+  for (const FlatEntryMap* p : parts) {
+    const FlatEntryMap* m = p;
+    if (!p->IsCompact()) m = &p->CompactedOrSelf(&scratch.emplace_back());
+    runs.push_back(&m->sorted_);
+  }
+  FlatEntryMap out;
+  out.sorted_ = SumSortedRuns(runs);
+  return out;
+}
+
+template <typename Key, typename Rec>
+FlatEntryMap<Key, Rec> FlatEntryMap<Key, Rec>::SumOrdered(
+    std::span<FlatEntryMap* const> parts) {
+  std::vector<std::vector<Entry>*> runs;
+  runs.reserve(parts.size());
+  for (FlatEntryMap* p : parts) {
+    p->Compact();
+    runs.push_back(&p->sorted_);
+  }
+  FlatEntryMap out;
+  out.sorted_ = SumSortedRuns(runs);
+  for (FlatEntryMap* p : parts) p->Clear();
+  return out;
 }
 
 template <typename Key, typename Rec>
@@ -827,6 +954,33 @@ void Delta::Add(const Delta& other) {
 void Delta::Add(Delta&& other) {
   nodes_.MergeFrom(std::move(other.nodes_));
   edges_.MergeFrom(std::move(other.edges_));
+}
+
+template <typename D>
+Delta Delta::SumOrderedOf(std::span<D* const> parts) {
+  constexpr bool kConst = std::is_const_v<D>;
+  using Nodes = std::conditional_t<kConst, const NodeMap, NodeMap>;
+  using Edges = std::conditional_t<kConst, const EdgeMap, EdgeMap>;
+  std::vector<Nodes*> nodes;
+  std::vector<Edges*> edges;
+  nodes.reserve(parts.size());
+  edges.reserve(parts.size());
+  for (D* p : parts) {
+    nodes.push_back(&p->nodes_);
+    edges.push_back(&p->edges_);
+  }
+  Delta out;
+  out.nodes_ = NodeMap::SumOrdered(std::span<Nodes* const>(nodes));
+  out.edges_ = EdgeMap::SumOrdered(std::span<Edges* const>(edges));
+  return out;
+}
+
+Delta Delta::SumOrdered(std::span<const Delta* const> parts) {
+  return SumOrderedOf(parts);
+}
+
+Delta Delta::SumOrdered(std::span<Delta* const> parts) {
+  return SumOrderedOf(parts);
 }
 
 Delta Delta::Sum(const Delta& a, const Delta& b) {

@@ -16,6 +16,12 @@
 // Algebra semantics (set semantics over (key, state) pairs, per the paper):
 //  * Sum:          right operand wins on key collision (Def. 4; order
 //                  sensitivity is exactly the paper's Δ1+Δ2 ≠ Δ2+Δ1).
+//  * Ordered sum:  SumOrdered(Δ1..Δk) = (..(Δ1+Δ2)+..)+Δk, the last operand
+//                  winning on a collision. The sum is associative, so one
+//                  k-way merge of the sorted spans replaces the left fold:
+//                  every reconstruction (a snapshot or micro-partition
+//                  state's root-to-leaf path, a k-hop ring) sums its deltas
+//                  this way before replaying eventlists.
 //  * Difference:   pairs of Δ1 whose (key, state) is not identically in Δ2.
 //  * Intersection: pairs identical in both (the DeltaGraph parent
 //                  construction).
@@ -26,6 +32,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -122,6 +129,16 @@ class FlatEntryMap {
   void MergeFrom(const FlatEntryMap& other);
   /// Consuming variant: entries are moved out of `other` (left empty).
   void MergeFrom(FlatEntryMap&& other);
+
+  /// Ordered sum of `parts` as one k-way merge: the last part wins on an
+  /// equal key, empty parts are skipped, and the result is compact, built
+  /// in one allocation sized to the parts' total. Parts are never mutated
+  /// (a non-compact one is read through CompactedOrSelf), so a part may be
+  /// listed twice or shared with other threads.
+  static FlatEntryMap SumOrdered(std::span<const FlatEntryMap* const> parts);
+  /// Consuming variant: entries are moved out of the parts, which are left
+  /// empty. Each part must be listed once.
+  static FlatEntryMap SumOrdered(std::span<FlatEntryMap* const> parts);
 
   /// Replaces contents with `entries` (unique keys, any order).
   void AssignUnsortedUnique(std::vector<Entry>&& entries);
@@ -220,6 +237,20 @@ class Delta {
   /// (largest) operand.
   void Add(Delta&& other);
 
+  /// Ordered sum of `parts` in one k-way merge: equal to the left fold
+  /// `acc.Add(*parts[0]); acc.Add(*parts[1]); ...` from an empty `acc`,
+  /// with one allocation per component map instead of one merge per
+  /// operand. Operands are read only, so a shared decoded row (or one
+  /// listed twice) is safe.
+  static Delta SumOrdered(std::span<const Delta* const> parts);
+
+  /// Consuming ordered sum: entries are moved out of the parts (each left
+  /// empty, each listed once). With parts = {&acc, &d1, ...}, assigning the
+  /// result to `acc` is the in-place form. A std::vector<Delta*> converts
+  /// to both spans, so name the span type at the call:
+  /// SumOrdered(std::span<Delta* const>(parts)).
+  static Delta SumOrdered(std::span<Delta* const> parts);
+
   static Delta Sum(const Delta& a, const Delta& b);
   static Delta Difference(const Delta& a, const Delta& b);
   static Delta Intersect(const Delta& a, const Delta& b);
@@ -279,6 +310,10 @@ class Delta {
 
   template <typename EventIt>
   void ApplyEventsRange(EventIt begin, EventIt end);
+
+  /// Both SumOrdered overloads: `D` is const Delta to copy, Delta to move.
+  template <typename D>
+  static Delta SumOrderedOf(std::span<D* const> parts);
 
   /// Tombstones present edges incident to a removed node, scanning only the
   /// sorted prefix whose canonical minimum endpoint is <= the largest id in

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <unordered_set>
 
@@ -94,8 +95,7 @@ Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeByKind(
   }
 }
 
-// Applies one decoded row of `kind` to `acc`: a Delta row is added; an
-// EventList row replays its events in (after, upto].
+// Replays one decoded EventList row onto `acc`: its events in (after, upto].
 //
 // The row is consumed only when ownership is statically exclusive: with
 // the decoded cache disabled, every decode is private to this query
@@ -109,26 +109,36 @@ Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeByKind(
 // objects are therefore always applied by const reference. make_shared
 // allocates the pointee as a mutable object, so the const_cast on an
 // exclusively owned value is well-defined.
-void ApplyRow(Delta* acc, std::shared_ptr<const void>&& row, CacheKind kind,
-              Timestamp after, Timestamp upto, bool exclusive) {
+void ApplyRow(Delta* acc, std::shared_ptr<const void>&& row, Timestamp after,
+              Timestamp upto, bool exclusive) {
   if (row == nullptr) return;
-  const bool consume = exclusive && row.use_count() == 1;
-  if (kind == CacheKind::kDelta) {
-    const auto& d = *static_cast<const Delta*>(row.get());
-    if (consume) {
-      acc->Add(std::move(const_cast<Delta&>(d)));
-    } else {
-      acc->Add(d);
-    }
+  const auto& e = *static_cast<const EventList*>(row.get());
+  if (exclusive && row.use_count() == 1) {
+    acc->ApplyEvents(std::move(const_cast<EventList&>(e)), after, upto);
   } else {
-    const auto& e = *static_cast<const EventList*>(row.get());
-    if (consume) {
-      acc->ApplyEvents(std::move(const_cast<EventList&>(e)), after, upto);
-    } else {
-      acc->ApplyEvents(e, after, upto);
-    }
+    acc->ApplyEvents(e, after, upto);
   }
   row.reset();
+}
+
+// Sums decoded Delta rows in order with one k-way merge (the root-to-leaf
+// delta sum of Algorithm 1) and releases them. The rows are moved out only
+// when every one of them is consumable under ApplyRow's ownership rule;
+// otherwise all are copied, and the copying overload only reads them
+// through the cast pointers. Null rows (absent micro-partitions) are
+// skipped.
+Delta SumDeltaRows(std::vector<std::shared_ptr<const void>> rows,
+                   bool exclusive) {
+  std::erase(rows, nullptr);
+  bool consume = exclusive;
+  std::vector<Delta*> parts;
+  parts.reserve(rows.size());
+  for (const auto& row : rows) {
+    consume = consume && row.use_count() == 1;
+    parts.push_back(const_cast<Delta*>(static_cast<const Delta*>(row.get())));
+  }
+  if (consume) return Delta::SumOrdered(std::span<Delta* const>(parts));
+  return Delta::SumOrdered(std::span<const Delta* const>(parts));
 }
 
 // Merges eventlist rows into one chronological sequence in which each
@@ -990,13 +1000,18 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
   if (span == nullptr) return Delta();  // before all history
   const std::vector<Slot> slots = SnapshotSlots(*span, t);
   HGS_ASSIGN_OR_RETURN(SlotRows rows, FetchSlots(meta, slots, stats));
-  // Tree deltas root-to-leaf, then eventlists in order, up to t.
+  // The tree deltas root-to-leaf (the slot prefix) in one sum, then the
+  // eventlists replayed in order, up to t.
   const bool exclusive = decoded_cache_ == nullptr;
-  Delta acc;
-  for (size_t i = 0; i < slots.size(); ++i) {
+  size_t i = 0;
+  std::vector<std::shared_ptr<const void>> tree;
+  for (; i < slots.size() && slots[i].kind == CacheKind::kDelta; ++i) {
+    std::move(rows[i].begin(), rows[i].end(), std::back_inserter(tree));
+  }
+  Delta acc = SumDeltaRows(std::move(tree), exclusive);
+  for (; i < slots.size(); ++i) {
     for (auto& row : rows[i]) {
-      ApplyRow(&acc, std::move(row), slots[i].kind, kMinTimestamp, t,
-               exclusive);
+      ApplyRow(&acc, std::move(row), kMinTimestamp, t, exclusive);
     }
   }
   return acc;
@@ -1046,8 +1061,7 @@ Result<std::vector<Graph>> TGIQueryManager::GetMultipointSnapshots(
       const bool exclusive = decoded_cache_ == nullptr;
       for (auto& slot_rows : rows) {
         for (auto& row : slot_rows) {
-          ApplyRow(&state, std::move(row), CacheKind::kEventList, state_time,
-                   t, exclusive);
+          ApplyRow(&state, std::move(row), state_time, t, exclusive);
         }
       }
     }
@@ -1191,16 +1205,22 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
     }
   }
 
-  // Merge per pid: tree deltas root-to-leaf, then eventlist replay to t.
-  // All values are already decoded; exclusively owned ones are consumed.
+  // Merge per pid: the tree deltas root-to-leaf in one sum (each slot's
+  // regular row before its aux row), then eventlist replay to t. All values
+  // are already decoded; exclusively owned ones are consumed.
   const bool exclusive = decoded_cache_ == nullptr;
   ParallelFor(pids.size(), fetch_parallelism_, [&](size_t p) {
-    Delta acc;
-    for (size_t i = 0; i < nd; ++i) {
-      ApplyRow(&acc, std::move(regular[p * nd + i]), slots[i].kind,
-               kMinTimestamp, t, exclusive);
-      ApplyRow(&acc, std::move(aux[p * nd + i]), slots[i].kind, kMinTimestamp,
-               t, exclusive);
+    size_t i = 0;
+    std::vector<std::shared_ptr<const void>> tree;
+    for (; i < nd && slots[i].kind == CacheKind::kDelta; ++i) {
+      tree.push_back(std::move(regular[p * nd + i]));
+      tree.push_back(std::move(aux[p * nd + i]));
+    }
+    Delta acc = SumDeltaRows(std::move(tree), exclusive);
+    for (; i < nd; ++i) {
+      ApplyRow(&acc, std::move(regular[p * nd + i]), kMinTimestamp, t,
+               exclusive);
+      ApplyRow(&acc, std::move(aux[p * nd + i]), kMinTimestamp, t, exclusive);
     }
     out[p] = std::move(acc);
   });
@@ -1460,10 +1480,13 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
     HGS_ASSIGN_OR_RETURN(
         std::vector<Delta> fetched,
         FetchMicroStatesAt(meta, *span, missing, t, replicated, stats));
+    // The ring's states are this query's own, so they are summed by move.
+    std::vector<Delta*> parts{&acc};
     for (size_t i = 0; i < missing.size(); ++i) {
-      acc.Add(fetched[i]);
+      parts.push_back(&fetched[i]);
       fetched_pids.insert(missing[i]);
     }
+    acc = Delta::SumOrdered(std::span<Delta* const>(parts));
     for (NodeId n : next) visited.insert(n);
     frontier.assign(next.begin(), next.end());
   }

@@ -18,8 +18,9 @@
 //
 // Every reconstruction runs one row pipeline: plan the merge slots (tree
 // deltas along the checkpoint path, then eventlists), fetch every slot's
-// micro-delta rows decoded (FetchSlots), and apply them in slot order
-// (ApplyRow). Event retrievals (GetEventsInRange, GetMergedMemberEvents)
+// micro-delta rows decoded (FetchSlots), sum the tree deltas in one k-way
+// merge (Delta::SumOrdered), and replay the eventlists after it in slot
+// order (ApplyRow). Event retrievals (GetEventsInRange, GetMergedMemberEvents)
 // merge the fetched eventlist rows chunk by chunk instead: the result is
 // chronological, each stored event appears once, and events sharing a
 // timestamp come out in EventTotalOrder.
@@ -270,9 +271,14 @@ class TGIQueryManager {
   Result<std::vector<std::pair<Timestamp, Delta>>> GetNodeVersions(
       NodeId id, Timestamp from, Timestamp to, FetchStats* stats = nullptr);
 
-  /// k-hop neighborhood at time t (Algorithm 4: iterative expansion). With
-  /// 1-hop replication enabled in the index, the last expansion level is
-  /// served from auxiliary micro-deltas without extra partition fetches.
+  /// k-hop neighborhood at time t (Algorithm 4: iterative expansion): the
+  /// subgraph induced by the nodes within k hops of `id`. With 1-hop
+  /// replication enabled in the index, the last expansion level is served
+  /// from auxiliary micro-deltas without extra partition fetches. The node
+  /// set, every node's attributes and every returned edge are then still
+  /// exact, and so is every edge with an endpoint closer than k hops, but
+  /// an edge between two nodes exactly k hops out may be missing: neither
+  /// endpoint's own partition was fetched.
   Result<Graph> GetKHopNeighborhood(NodeId id, Timestamp t, int k,
                                     FetchStats* stats = nullptr);
 

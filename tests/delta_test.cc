@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -828,6 +830,104 @@ TEST_P(FlatMapPropertyTest, BatchedApplyEventsMatchesSequentialReplay) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatMapPropertyTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+// An operand for the ordered-sum property: empty, or random node and edge
+// puts and tombstones over a key range small enough to overlap across
+// operands, left as a pure append tail, compacted, or compacted with a few
+// more writes appended behind the sorted span.
+Delta RandomSumOperand(Rng* rng) {
+  Delta d;
+  if (rng->Uniform(6) == 0) return d;
+  const NodeId key_range = std::array<NodeId, 3>{8, 64, 1'000}[rng->Uniform(3)];
+  auto write = [&] {
+    const NodeId u = rng->Uniform(key_range);
+    const NodeId v = rng->Uniform(key_range);
+    switch (rng->Uniform(4)) {
+      case 0:
+        d.PutNode(u, NodeRecord{.attrs = RandomAttrs(rng)});
+        break;
+      case 1:
+        d.TombstoneNode(u);
+        break;
+      case 2:
+        d.PutEdge(EdgeKey(u, v), EdgeRecord{.src = u,
+                                            .dst = v,
+                                            .directed = rng->Uniform(2) == 0,
+                                            .attrs = RandomAttrs(rng)});
+        break;
+      default:
+        d.TombstoneEdge(EdgeKey(u, v));
+        break;
+    }
+  };
+  const size_t n = 1 + rng->Uniform(300);
+  for (size_t i = 0; i < n; ++i) write();
+  if (rng->Uniform(2) == 0) {
+    d.Compact();
+    if (rng->Uniform(2) == 0) {
+      for (size_t i = 1 + rng->Uniform(5); i > 0; --i) write();
+    }
+  }
+  return d;
+}
+
+class SumOrderedPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// SumOrdered is the left fold of Add, for both overloads, over 0 to 24
+// operands with overlapping keys, tombstones, empty operands and
+// non-compact ones; the copying overload also takes an operand listed
+// twice and leaves every operand as it was.
+TEST_P(SumOrderedPropertyTest, BothOverloadsEqualLeftFoldOfAdd) {
+  const uint64_t seed = GetParam() * 2'654'435'761u + 17;
+  Rng rng(seed);
+  size_t compact_seen = 0;
+  size_t tailed_seen = 0;
+  for (size_t round = 0; round < 75; ++round) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " round " << round);
+    const size_t k = round % 25;
+    std::vector<Delta> ops;
+    for (size_t i = 0; i < k; ++i) {
+      ops.push_back(RandomSumOperand(&rng));
+      if (ops.back().Empty()) continue;
+      ++(ops.back().IsCompact() ? compact_seen : tailed_seen);
+    }
+
+    std::vector<const Delta*> shared;
+    for (const Delta& d : ops) shared.push_back(&d);
+    if (k > 0 && rng.Uniform(2) == 0) {
+      const Delta* again = shared[rng.Uniform(k)];
+      shared.insert(shared.begin() + static_cast<ptrdiff_t>(rng.Uniform(k + 1)),
+                    again);
+    }
+    Delta fold;
+    for (const Delta* d : shared) fold.Add(*d);
+    const std::vector<Delta> before = ops;
+    const Delta copied = Delta::SumOrdered(shared);
+    EXPECT_TRUE(copied == fold);
+    EXPECT_TRUE(copied.IsCompact());
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_TRUE(ops[i] == before[i]) << "operand " << i << " changed";
+      EXPECT_EQ(ops[i].IsCompact(), before[i].IsCompact()) << "operand " << i;
+    }
+
+    Delta move_fold;
+    for (const Delta& d : ops) move_fold.Add(d);
+    std::vector<Delta*> owned;
+    for (Delta& d : ops) owned.push_back(&d);
+    const Delta moved = Delta::SumOrdered(std::span<Delta* const>(owned));
+    EXPECT_TRUE(moved == move_fold);
+    EXPECT_TRUE(moved.IsCompact());
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_TRUE(ops[i].Empty()) << "operand " << i << " not consumed";
+    }
+  }
+  // The generator reached both operand representations.
+  EXPECT_GT(compact_seen, 0u);
+  EXPECT_GT(tailed_seen, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SumOrderedPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(DeltaTest, BatchedRemovalReplayScansEdgeEntriesOnce) {

@@ -360,27 +360,67 @@ TEST_P(TGIConfigTest, OneHopNeighborhoodMatchesReplay) {
   }
 }
 
-TEST_P(TGIConfigTest, TwoHopCoversBfsSet) {
-  Cluster cluster(FastCluster());
-  TGI tgi(&cluster, OptionsFromParam());
-  auto events = SmallHistory(23, 3'000);
-  ASSERT_TRUE(tgi.BuildFrom(events).ok());
-  auto qm_or = tgi.OpenQueryManager();
-  ASSERT_TRUE(qm_or.ok());
-  auto& qm = *qm_or;
+// The k-hop contract against replay: the induced subgraph of the replayed
+// graph on the BFS ball of radius k. With 1-hop replication the last ring's
+// records come from aux rows and the expansion stops there (Algorithm 4's
+// early termination), so an edge between two nodes at distance exactly k
+// may be left out. The node set, every node's attributes and every
+// returned edge still equal replay, and so does every edge with an
+// endpoint inside the ball's interior (distance < k).
+TEST_P(TGIConfigTest, KHopNeighborhoodMatchesReplay) {
+  const bool replicated = std::get<2>(GetParam());
+  for (uint64_t seed : {23, 41, 59}) {
+    Cluster cluster(FastCluster());
+    TGI tgi(&cluster, OptionsFromParam());
+    auto events = SmallHistory(seed, 3'000);
+    ASSERT_TRUE(tgi.BuildFrom(events).ok());
+    auto qm_or = tgi.OpenQueryManager();
+    ASSERT_TRUE(qm_or.ok());
+    auto& qm = *qm_or;
 
-  Timestamp t = workload::EndTime(events);
-  Graph expected = workload::ReplayToGraph(events, t);
-  Rng rng(8);
-  auto ids = expected.NodeIds();
-  for (int trial = 0; trial < 8; ++trial) {
-    NodeId id = ids[rng.Uniform(ids.size())];
-    auto hood = qm->GetKHopNeighborhood(id, t, 2);
-    ASSERT_TRUE(hood.ok());
-    auto bfs = algo::BfsDistances(expected, id, 2);
-    EXPECT_EQ(hood->NumNodes(), bfs.size()) << "center " << id;
-    for (const auto& [n, d] : bfs) {
-      EXPECT_TRUE(hood->HasNode(n));
+    for (size_t pct : {40, 70, 100}) {
+      const Timestamp t = events[events.size() * pct / 100 - 1].time;
+      const Graph replay = workload::ReplayToGraph(events, t);
+      const auto ids = replay.NodeIds();
+      ASSERT_FALSE(ids.empty());
+      Rng rng(seed * 1'000 + pct);
+      for (int trial = 0; trial < 12; ++trial) {
+        const NodeId id = ids[rng.Uniform(ids.size())];
+        for (int k : {1, 2}) {
+          SCOPED_TRACE(::testing::Message() << "seed " << seed << " t " << t
+                                            << " center " << id << " k " << k);
+          auto hood = qm->GetKHopNeighborhood(id, t, k);
+          ASSERT_TRUE(hood.ok()) << hood.status().ToString();
+          const auto dist = algo::BfsDistances(replay, id, k);
+          std::vector<NodeId> ball;
+          for (const auto& [n, d] : dist) ball.push_back(n);
+          const Graph want = algo::InducedSubgraph(replay, ball);
+          if (!replicated) {
+            EXPECT_TRUE(*hood == want)
+                << "got " << hood->NumNodes() << "/" << hood->NumEdges()
+                << " nodes/edges, want " << want.NumNodes() << "/"
+                << want.NumEdges();
+            continue;
+          }
+          EXPECT_EQ(hood->NumNodes(), want.NumNodes());
+          want.ForEachNode([&](NodeId n, const NodeRecord& rec) {
+            const NodeRecord* got = hood->GetNode(n);
+            ASSERT_NE(got, nullptr) << "missing node " << n;
+            EXPECT_EQ(got->attrs, rec.attrs) << "node " << n;
+          });
+          hood->ForEachEdge([&](const EdgeKey& key, const EdgeRecord& rec) {
+            const EdgeRecord* w = want.GetEdge(key.u, key.v);
+            ASSERT_NE(w, nullptr) << "extra edge " << key.u << "-" << key.v;
+            EXPECT_TRUE(*w == rec) << "edge " << key.u << "-" << key.v;
+          });
+          want.ForEachEdge([&](const EdgeKey& key, const EdgeRecord&) {
+            if (dist.at(key.u) < k || dist.at(key.v) < k) {
+              EXPECT_TRUE(hood->HasEdge(key.u, key.v))
+                  << "missing edge " << key.u << "-" << key.v;
+            }
+          });
+        }
+      }
     }
   }
 }
@@ -610,6 +650,13 @@ INSTANTIATE_TEST_SUITE_P(
                     CacheBudget::kDefault},
         ConfigParam{PartitionStrategy::kRandom, ClusteringOrder::kDeltaMajor,
                     false, 1, CacheBudget::kDefault},
+        // Replicated partition-major: FetchMicroStatesAt's aux-row batch.
+        ConfigParam{PartitionStrategy::kRandom,
+                    ClusteringOrder::kPartitionMajor, true, 2,
+                    CacheBudget::kDefault},
+        ConfigParam{PartitionStrategy::kLocality,
+                    ClusteringOrder::kPartitionMajor, true, 3,
+                    CacheBudget::kOff},
         // The cache-budget axis over one delta-major, one partition-major
         // and one locality config.
         ConfigParam{PartitionStrategy::kRandom, ClusteringOrder::kDeltaMajor,
